@@ -34,6 +34,14 @@ func startServer(ctx context.Context, bin string, flags []string) (*server, erro
 	args := append(append([]string(nil), flags...), "-addr", "127.0.0.1:0")
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = io.Discard
+	// The server runs with the Go runtime's default collector and
+	// scheduler settings, whatever the driver's environment holds.
+	cmd.Env = []string{}
+	for _, kv := range os.Environ() {
+		if k, _, _ := strings.Cut(kv, "="); k != "GOGC" && k != "GOMEMLIMIT" && k != "GODEBUG" && k != "GOMAXPROCS" {
+			cmd.Env = append(cmd.Env, kv)
+		}
+	}
 	// A driver killed from outside must not leave its server running.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stderr, err := cmd.StderrPipe()
@@ -114,6 +122,10 @@ type httpExec struct {
 	srv     *server
 	client  *http.Client
 	streams sessions[string] // stream ids
+	// busyMS sums the latency of every request sent, stream opens and
+	// closes included: the server's share of a phase, without the
+	// driver's own work between requests.
+	busyMS float64
 }
 
 func newHTTPExec(srv *server) *httpExec {
@@ -136,6 +148,7 @@ func (h *httpExec) do(method, path string, body []byte) ([]byte, float64, error)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	ms := msSince(start)
+	h.busyMS += ms
 	resp.Body.Close()
 	if err != nil {
 		return nil, 0, err

@@ -37,6 +37,11 @@ import (
 // runBudget bounds one invocation; the contract allows 180 seconds.
 const runBudget = 170 * time.Second
 
+// setupStarts is how many servers an untraced run starts, each with the
+// workload's setup; setup_s is their median and the last one serves the
+// measured phase. A traced run reports no setup_s and starts one.
+const setupStarts = 3
+
 func main() {
 	name := flag.String("workload", "", "workload: build-cold, update-stream or solve-hot")
 	seed := flag.Int64("seed", 1, "workload seed; all inputs derive from it")
@@ -44,11 +49,10 @@ func main() {
 	trace := flag.Int("trace", 0, "1 replays the run in-process and reports per-layer metrics")
 	bin := flag.String("server", "", "trsparsed binary")
 	out := flag.String("out", ".", "directory for the spans file")
-	setups := flag.Int("setups", 3, "server starts whose setup time is measured; the last one serves the run")
 	commit := flag.String("commit", "unknown", "commit being measured, for the environment stamp")
 	flag.Parse()
 
-	res, err := run(*name, *seed, *seconds, *trace == 1, *bin, *out, *setups, *commit)
+	res, err := run(*name, *seed, *seconds, *trace == 1, *bin, *out, *commit)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -71,7 +75,7 @@ type result struct {
 	Metrics   map[string]map[string]any `json:"metrics"`
 }
 
-func run(name string, seed int64, seconds float64, trace bool, bin, out string, setups int, commit string) (*result, error) {
+func run(name string, seed int64, seconds float64, trace bool, bin, out string, commit string) (*result, error) {
 	wl, err := workloadByName(name)
 	if err != nil {
 		return nil, err
@@ -79,11 +83,8 @@ func run(name string, seed int64, seconds float64, trace bool, bin, out string, 
 	if bin == "" {
 		return nil, errors.New("-server is required")
 	}
-	if setups < 1 {
-		return nil, errors.New("-setups must be at least 1")
-	}
+	setups := setupStarts
 	if trace {
-		// A traced run reports no setup_s; its budget goes to the replays.
 		setups = 1
 	}
 	stampEnv(wl, seed, commit)
@@ -92,7 +93,11 @@ func run(name string, seed int64, seconds float64, trace bool, bin, out string, 
 	deadline, _ := ctx.Deadline()
 
 	// Every server start repeats the same setup; the last server serves
-	// the measured phase, so each run gets a fresh process.
+	// the measured phase, so each run gets a fresh process. A start's
+	// setup time is the server's alone: from process start until it
+	// reports its address, plus the latency of every setup request.
+	// Generating and encoding inputs and checking responses happen
+	// between requests and are not counted.
 	var setupS []float64
 	var srv *server
 	var hx *httpExec
@@ -103,10 +108,11 @@ func run(name string, seed int64, seconds float64, trace bool, bin, out string, 
 		if srv, err = startServer(ctx, bin, wl.serverFlags()); err != nil {
 			return nil, err
 		}
+		launch := time.Since(start).Seconds()
 		hx = newHTTPExec(srv)
 		r = newRunner(wl, seed, hx, true)
 		setup, err = r.runSteps(wl.setup(r.w), nil)
-		setupS = append(setupS, time.Since(start).Seconds())
+		setupS = append(setupS, launch+hx.busyMS/1000)
 		if err == nil && k < setups-1 {
 			err = hx.close()
 		}

@@ -97,7 +97,7 @@ func e2eMetrics(p phase, setupS []float64, kappas []float64, failed int, rssMB f
 		}
 	}
 	m := &metricSet{}
-	m.add("setup_s", "s", median(setupS), len(setupS), "median of server starts, each with its setup and warm-up requests")
+	m.add("setup_s", "s", median(setupS), len(setupS), "median of server starts: launch plus setup request latencies")
 	m.p50("build_ms_p50", lat[opBuild])
 	m.tail("build_ms_ptail", lat[opBuild])
 	m.p50("update_ms_p50", lat[opPush])

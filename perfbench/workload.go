@@ -141,7 +141,7 @@ var workloads = []*workload{
 	},
 	{
 		name: "update-stream",
-		why: "one stream session edits one sharded circuit grid, so plan reuse, localized stitch, Laplacian patching " +
+		why: "four stream sessions edit four sharded circuit grids in turn, so plan reuse, localized stitch, Laplacian patching " +
 			"and cluster and factor reuse dominate; no full-graph Algorithm 2 runs",
 		shardThreshold: shardAt,
 		cache:          artifactCap,
@@ -174,7 +174,7 @@ var workloads = []*workload{
 			}
 			return w.cur.reweight(rng)
 		},
-		minSamples: [numOps]int{opBuild: 40, opPush: 40, opSolve: 40, opBatch: 20},
+		minSamples: [numOps]int{opBuild: 80, opPush: 40, opSolve: 40, opBatch: 20},
 	},
 	{
 		name: "solve-hot",
@@ -225,12 +225,15 @@ func coldCycle(w *world, i int, measured bool) []step {
 // median from hinging on how far one seed's single session drifted.
 const streamSessions = 4
 
-// streamCycle: one edit on session i mod streamSessions (three window
-// reweights for every shortcut removal or addition), a solve on the new
-// artifact, a repeat POST of the session's graph, which must hit the
-// artifact the stream just produced, and a batch solve.
+// streamCycle, on session i mod streamSessions: a repeat POST of the
+// session's graph, which must hit the artifact its last edit produced;
+// one edit (three window reweights for every shortcut removal or
+// addition); a solve on the new artifact; a repeat POST that must hit
+// that artifact; and a batch solve. A repeat POST is short next to an
+// edit, so the cycle sends two to give its median 80 samples.
 func streamCycle(w *world, i int, measured bool) []step {
 	steps := withBatch(w, i, measured, []step{
+		{kind: opBuild, measured: measured},
 		{kind: opPush, measured: measured, delta: lazyDelta},
 		{kind: opSolve, rhsSeed: w.rhsSeed(i, 0), measured: measured},
 		{kind: opBuild, measured: measured},
