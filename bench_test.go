@@ -224,9 +224,9 @@ func BenchmarkEngineBatch(b *testing.B) {
 // BenchmarkSparsifierSolve quantifies what the v2 handle API buys on
 // repeated solves against one graph: "handle-reuse" builds the Sparsifier
 // once and runs PCG through its cached factorization per iteration, while
-// "percall-rebuild" goes through the deprecated SolvePCG free function,
-// which reassembles the pencil and refactorizes the sparsifier on every
-// call. Same graph (300×300 grid), same prebuilt sparsifier subgraph, same
+// "percall-rebuild" builds a fresh handle adopting the same subgraph per
+// call, which reassembles the pencil and refactorizes the sparsifier every
+// time. Same graph (300×300 grid), same prebuilt sparsifier subgraph, same
 // tolerance (the paper's Table-1 rtol of 1e-3) — the gap is pure
 // construction amortization and must be ≥10×.
 func BenchmarkSparsifierSolve(b *testing.B) {
@@ -260,11 +260,15 @@ func BenchmarkSparsifierSolve(b *testing.B) {
 
 	b.Run("percall-rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, iters, err := SolvePCG(g, sub, rhs, 1e-3)
+			once, err := New(ctx, g, WithSparsifierGraph(sub), WithTolerance(1e-3))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if iters <= 0 {
+			sol, err := once.Solve(ctx, rhs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if sol.Iterations <= 0 {
 				b.Fatal("no PCG iterations")
 			}
 		}
@@ -659,6 +663,20 @@ func BenchmarkSchwarzApply(b *testing.B) {
 	})
 }
 
+// prebuiltKappa is κ(L_G, L_P) measured through a handle adopting sub.
+func prebuiltKappa(b *testing.B, g, sub *Graph) float64 {
+	ctx := context.Background()
+	s, err := New(ctx, g, WithSparsifierGraph(sub))
+	if err != nil {
+		b.Fatal(err)
+	}
+	kappa, err := s.CondNumberWith(ctx, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return kappa
+}
+
 // BenchmarkAblationBeta quantifies the β truncation depth tradeoff of
 // eq. (12): deeper BFS costs more scoring time without improving (and
 // often slightly worsening) batch selection quality.
@@ -671,11 +689,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				kappa, err := CondNumber(g, res.Sparsifier, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(kappa, "κ")
+				b.ReportMetric(prebuiltKappa(b, g, res.Sparsifier), "κ")
 			}
 		})
 	}
@@ -693,11 +707,7 @@ func BenchmarkAblationDelta(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				kappa, err := CondNumber(g, res.Sparsifier, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(kappa, "κ")
+				b.ReportMetric(prebuiltKappa(b, g, res.Sparsifier), "κ")
 			}
 		})
 	}
@@ -722,11 +732,7 @@ func BenchmarkAblationExclusion(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				kappa, err := CondNumber(g, res.Sparsifier, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(kappa, "κ")
+				b.ReportMetric(prebuiltKappa(b, g, res.Sparsifier), "κ")
 			}
 		})
 	}

@@ -35,11 +35,8 @@ func newServer(eng *engine.Engine) *server {
 	return &server{eng: eng, start: time.Now()}
 }
 
-// handler builds the route table. /v2/* is the current surface: the same
-// engine, plus per-request deadlines (?timeout_ms=) and structured error
-// codes. /v1/* remains as a deprecation shim over the identical handlers —
-// same request and response shapes as before — with Deprecation/Link
-// headers pointing at the successor.
+// handler builds the route table: the engine served under /v2/*, with
+// per-request deadlines (?timeout_ms=) and structured error codes.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/sparsify", s.handleSparsify)
@@ -51,26 +48,12 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /v2/stream/{id}", s.handleStreamStats)
 	mux.HandleFunc("DELETE /v2/stream/{id}", s.handleStreamClose)
 	mux.HandleFunc("GET /v2/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/sparsify", deprecated("/v2/sparsify", s.handleSparsify))
-	mux.HandleFunc("POST /v1/solve", deprecated("/v2/solve", s.handleSolve))
-	mux.HandleFunc("GET /v1/stats", deprecated("/v2/stats", s.handleStats))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// deprecated wraps a v1 route: it serves exactly the v2 handler but
-// advertises the successor endpoint per RFC 8594-style headers so clients
-// can migrate before /v1 is removed.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
-	}
-}
-
 // requestCtx derives the handler context: the client's disconnect context
-// plus an optional per-request deadline from ?timeout_ms= (v2). Invalid or
+// plus an optional per-request deadline from ?timeout_ms=. Invalid or
 // non-positive values are rejected by the caller via the returned error.
 func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	ctx := r.Context()
@@ -318,7 +301,7 @@ func (s *server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 		Precond:   precondInfoOf(art),
 	}
 	// ?edges=false skips materializing the sparsifier edge list — for
-	// clients that only want the key for later /v1/solve calls, rendering
+	// clients that only want the key for later /v2/solve calls, rendering
 	// millions of [u,v,w] triples per request is pure memory amplification.
 	if v := r.URL.Query().Get("edges"); v != "false" && v != "0" {
 		resp.SparsifierEdges = edgesPayload(art.SparsifierGraph())
@@ -449,7 +432,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 type solveRequest struct {
-	// Key references an artifact from a previous /v1/sparsify response;
+	// Key references an artifact from a previous /v2/sparsify response;
 	// alternatively pass the graph inline.
 	Key   string        `json:"key,omitempty"`
 	Graph *graphPayload `json:"graph,omitempty"`

@@ -64,7 +64,7 @@ func TestSparsifyAndSolveEndToEnd(t *testing.T) {
 	g := gen.Grid2D(50, 50, 1)
 
 	var sp sparsifyResponse
-	if resp := postJSON(t, ts.URL+"/v1/sparsify", graphRequest(g), &sp); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v2/sparsify", graphRequest(g), &sp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sparsify status = %d", resp.StatusCode)
 	}
 	if sp.Key == "" || sp.Cached {
@@ -79,7 +79,7 @@ func TestSparsifyAndSolveEndToEnd(t *testing.T) {
 
 	// A second identical sparsify must be served from the cache.
 	var sp2 sparsifyResponse
-	postJSON(t, ts.URL+"/v1/sparsify", graphRequest(g), &sp2)
+	postJSON(t, ts.URL+"/v2/sparsify", graphRequest(g), &sp2)
 	if !sp2.Cached || sp2.Key != sp.Key {
 		t.Fatalf("second sparsify not cached: %+v", sp2)
 	}
@@ -90,7 +90,7 @@ func TestSparsifyAndSolveEndToEnd(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	var sol solveResponse
-	if resp := postJSON(t, ts.URL+"/v1/solve",
+	if resp := postJSON(t, ts.URL+"/v2/solve",
 		solveRequest{Key: sp.Key, B: b, Tol: 1e-6}, &sol); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status = %d", resp.StatusCode)
 	}
@@ -124,7 +124,7 @@ func TestSolveInlineGraph(t *testing.T) {
 	b[0], b[g.N-1] = 1, -1
 	var sol solveResponse
 	req := solveRequest{Graph: &graphPayload{N: g.N, Edges: edgesPayload(g)}, B: b, Tol: 1e-6}
-	if resp := postJSON(t, ts.URL+"/v1/solve", req, &sol); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v2/solve", req, &sol); resp.StatusCode != http.StatusOK {
 		t.Fatalf("solve status = %d", resp.StatusCode)
 	}
 	if !sol.Converged || sol.Cached {
@@ -132,7 +132,7 @@ func TestSolveInlineGraph(t *testing.T) {
 	}
 	// Same inline graph again: artifact now cached.
 	var sol2 solveResponse
-	postJSON(t, ts.URL+"/v1/solve", req, &sol2)
+	postJSON(t, ts.URL+"/v2/solve", req, &sol2)
 	if !sol2.Cached {
 		t.Fatal("second inline solve missed the cache")
 	}
@@ -146,7 +146,7 @@ func TestSparsifyMatrixMarketUpload(t *testing.T) {
 	if err := sparse.WriteMatrixMarket(&buf, lap.Laplacian(g, nil), true); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sparsify?format=mm", "text/plain", &buf)
+	resp, err := http.Post(ts.URL+"/v2/sparsify?format=mm", "text/plain", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSparsifyEdgesOptOut(t *testing.T) {
 	ts := newTestServer(t)
 	g := gen.Grid2D(10, 10, 1)
 	var sp sparsifyResponse
-	if resp := postJSON(t, ts.URL+"/v1/sparsify?edges=false", graphRequest(g), &sp); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v2/sparsify?edges=false", graphRequest(g), &sp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	if len(sp.SparsifierEdges) != 0 {
@@ -181,10 +181,10 @@ func TestSparsifyEdgesOptOut(t *testing.T) {
 func TestStatsAndHealth(t *testing.T) {
 	ts := newTestServer(t)
 	g := gen.Grid2D(12, 12, 1)
-	postJSON(t, ts.URL+"/v1/sparsify", graphRequest(g), nil)
-	postJSON(t, ts.URL+"/v1/sparsify", graphRequest(g), nil)
+	postJSON(t, ts.URL+"/v2/sparsify", graphRequest(g), nil)
+	postJSON(t, ts.URL+"/v2/sparsify", graphRequest(g), nil)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestStatsAndHealth(t *testing.T) {
 	if st.Builds != 1 || st.Hits != 1 || st.HitRate != 0.5 {
 		t.Fatalf("stats after hit: builds=%d hits=%d rate=%g", st.Builds, st.Hits, st.HitRate)
 	}
-	if st.Workers <= 0 || len(st.Latency) == 0 {
+	if st.Workers <= 0 || st.LatencyCount <= 0 {
 		t.Fatalf("stats missing telemetry: %+v", st)
 	}
 
@@ -215,7 +215,7 @@ func TestErrorResponses(t *testing.T) {
 
 	// Unknown solve key → 404.
 	var e errorResponse
-	if resp := postJSON(t, ts.URL+"/v1/solve",
+	if resp := postJSON(t, ts.URL+"/v2/solve",
 		solveRequest{Key: "g9-9-0000000000000000", B: []float64{1}}, &e); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown key status = %d", resp.StatusCode)
 	}
@@ -224,7 +224,7 @@ func TestErrorResponses(t *testing.T) {
 	}
 
 	// Malformed JSON → 400.
-	resp, err := http.Post(ts.URL+"/v1/sparsify", "application/json", strings.NewReader("{nope"))
+	resp, err := http.Post(ts.URL+"/v2/sparsify", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,27 +236,27 @@ func TestErrorResponses(t *testing.T) {
 	// Disconnected graph → 422. Enough edges to pass the connectivity
 	// edge-count precheck (which 400s), but vertex 3 is isolated.
 	req := sparsifyRequest{Graph: &graphPayload{N: 4, Edges: [][3]float64{{0, 1, 1}, {1, 2, 1}, {0, 2, 1}}}}
-	if resp := postJSON(t, ts.URL+"/v1/sparsify", req, nil); resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp := postJSON(t, ts.URL+"/v2/sparsify", req, nil); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("disconnected graph status = %d", resp.StatusCode)
 	}
 
 	// Empty graph (n=0) → 400, not a crash: without validation this used
 	// to panic inside a detached build goroutine and kill the process.
 	empty := sparsifyRequest{Graph: &graphPayload{N: 0}}
-	if resp := postJSON(t, ts.URL+"/v1/sparsify", empty, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/sparsify", empty, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty graph status = %d", resp.StatusCode)
 	}
 
 	// Inflated vertex count → 400 before any O(n) allocation: a tiny body
 	// must not be able to declare two billion vertices.
 	huge := sparsifyRequest{Graph: &graphPayload{N: 2_000_000_000, Edges: [][3]float64{{0, 1, 1}}}}
-	if resp := postJSON(t, ts.URL+"/v1/sparsify", huge, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/sparsify", huge, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("inflated n status = %d", resp.StatusCode)
 	}
 
 	// Same via a Matrix Market header declaring huge dimensions.
 	mm := "%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 1\n1 2 1.0\n"
-	mmResp, err := http.Post(ts.URL+"/v1/sparsify?format=mm", "text/plain", strings.NewReader(mm))
+	mmResp, err := http.Post(ts.URL+"/v2/sparsify?format=mm", "text/plain", strings.NewReader(mm))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestErrorResponses(t *testing.T) {
 	}
 
 	// Missing rhs → 400.
-	if resp := postJSON(t, ts.URL+"/v1/solve", solveRequest{Key: "x"}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := postJSON(t, ts.URL+"/v2/solve", solveRequest{Key: "x"}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing rhs status = %d", resp.StatusCode)
 	}
 
@@ -280,7 +280,7 @@ func TestErrorResponses(t *testing.T) {
 	}
 	ovReq := solveRequest{Graph: &graphPayload{N: gTiny.N, Edges: edgesPayload(gTiny)}, B: bHuge}
 	var ovErr errorResponse
-	if resp := postJSON(t, ts.URL+"/v1/solve", ovReq, &ovErr); resp.StatusCode != http.StatusInternalServerError {
+	if resp := postJSON(t, ts.URL+"/v2/solve", ovReq, &ovErr); resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("overflow rhs status = %d", resp.StatusCode)
 	}
 	if strings.Contains(ovErr.Error, "NaN") {
@@ -288,7 +288,7 @@ func TestErrorResponses(t *testing.T) {
 	}
 
 	// Wrong method → 405 from the route table.
-	getResp, err := http.Get(ts.URL + "/v1/sparsify")
+	getResp, err := http.Get(ts.URL + "/v2/sparsify")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +386,9 @@ func TestV2SolveHonorsRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestV1DeprecationShim: /v1 responses carry the deprecation headers and
-// still serve the old shapes.
-func TestV1DeprecationShim(t *testing.T) {
+// TestV1RoutesRemoved: /v2 is the only API version; the former /v1 routes
+// answer 404 and /v2 responses carry no deprecation marker.
+func TestV1RoutesRemoved(t *testing.T) {
 	ts := newTestServer(t)
 	g := gen.Grid2D(10, 10, 2)
 	buf, err := json.Marshal(graphRequest(g))
@@ -399,22 +399,26 @@ func TestV1DeprecationShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 sparsify status = %d", resp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/sparsify status = %d, want 404", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("v1 response missing Deprecation header")
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v2/sparsify") {
-		t.Fatalf("v1 Link header %q does not name the successor", link)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats status = %d, want 404", resp.StatusCode)
 	}
-	// The v2 route must NOT carry the deprecation marker.
 	resp2, err := http.Post(ts.URL+"/v2/sparsify", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v2/sparsify status = %d", resp2.StatusCode)
+	}
 	if resp2.Header.Get("Deprecation") != "" {
 		t.Fatal("v2 response wrongly marked deprecated")
 	}
@@ -523,8 +527,8 @@ func TestV2ShardedAdmissionEndToEnd(t *testing.T) {
 	if st.ShardedBuilds != 1 || st.ShardsBuilt < 4 {
 		t.Fatalf("stats: sharded_builds=%d shards_built=%d", st.ShardedBuilds, st.ShardsBuilt)
 	}
-	if st.P50LatencyMS <= 0 || st.P99LatencyMS < st.P50LatencyMS {
-		t.Fatalf("stats percentiles: p50=%g p99=%g", st.P50LatencyMS, st.P99LatencyMS)
+	if st.P50LatencyUS <= 0 || st.P95LatencyUS < st.P50LatencyUS || st.P99LatencyUS < st.P95LatencyUS {
+		t.Fatalf("stats percentiles: p50=%g p95=%g p99=%g µs", st.P50LatencyUS, st.P95LatencyUS, st.P99LatencyUS)
 	}
 }
 
@@ -689,7 +693,7 @@ func TestV2Update(t *testing.T) {
 		t.Fatalf("solve did not converge (relres %g)", sol.RelRes)
 	}
 
-	// Stats expose the incremental counters and the split histogram.
+	// Stats expose the incremental counters and the split latency track.
 	var st statsResponse
 	if resp, err := http.Get(ts.URL + "/v2/stats"); err != nil {
 		t.Fatal(err)
@@ -699,8 +703,9 @@ func TestV2Update(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.IncrementalBuilds != 1 || st.ClustersReused == 0 {
-		t.Fatalf("stats: incremental_builds=%d clusters_reused=%d", st.IncrementalBuilds, st.ClustersReused)
+	if st.IncrementalBuilds != 1 || st.ClustersReused == 0 || st.IncrementalLatencyCount != 1 {
+		t.Fatalf("stats: incremental_builds=%d clusters_reused=%d incremental_latency_count=%d",
+			st.IncrementalBuilds, st.ClustersReused, st.IncrementalLatencyCount)
 	}
 
 	// Error taxonomy: unknown base key → 404 unknown_key; empty delta and

@@ -28,8 +28,7 @@ type Config struct {
 	// subgraph as the sparsifier. It must span the same vertex set as the
 	// input graph and be connected. The handle computes the shared
 	// regularization shift itself, so pencil and sparsifier stay
-	// consistent — the fix for the v1 free functions, which silently
-	// dropped Result.Shift.
+	// consistent.
 	Prebuilt *graph.Graph
 
 	// Tol is the PCG relative residual tolerance for Solve (default 1e-6).

@@ -183,6 +183,9 @@ func (c *coalescer) run(bk coalesceKey, sb *solveBatch) {
 		}
 	}()
 
+	// Latency counts queue wait + work, like every other job: the clock
+	// starts before the batch waits for a worker slot.
+	start := time.Now()
 	select {
 	case e.sem <- struct{}{}:
 	case <-sb.abandoned:
@@ -191,13 +194,12 @@ func (c *coalescer) run(bk coalesceKey, sb *solveBatch) {
 	}
 	e.c.jobs.Add(1)
 	e.c.inFlight.Add(1)
-	start := time.Now()
 	defer func() {
 		if p := recover(); p != nil {
 			e.c.jobErrors.Add(1)
 			sb.err = fmt.Errorf("engine: batch solve panicked: %v (%w)", p, ErrInternal)
 		}
-		e.c.latency.observe(time.Since(start))
+		e.c.latency.Observe(time.Since(start))
 		e.c.inFlight.Add(-1)
 		<-e.sem
 	}()

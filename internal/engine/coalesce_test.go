@@ -141,6 +141,41 @@ func TestCoalesceAbandonedBatchNeverRuns(t *testing.T) {
 	}
 }
 
+// TestCoalescedLatencyIncludesQueueWait: a coalesced batch's recorded
+// latency is queue wait + work, like every other job. With one worker
+// whose slot a slow job holds, the batch waits out the hold before it
+// runs, and that wait must show in the latency track.
+func TestCoalescedLatencyIncludesQueueWait(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	e, art, bs := coalesceFixture(t, Options{Workers: 1, CoalesceWindow: 5 * time.Millisecond}, 1)
+	before := e.Stats()
+
+	e.sem <- struct{}{} // the slow job takes the only worker slot
+	go func() {
+		time.Sleep(hold)
+		<-e.sem
+	}()
+	res, err := e.SolveArtifact(context.Background(), art, bs[0], 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged {
+		t.Fatalf("solve did not converge: %+v", res)
+	}
+
+	after := e.Stats()
+	if after.LatencyCount != before.LatencyCount+1 {
+		t.Fatalf("latency count %d → %d, want one new observation", before.LatencyCount, after.LatencyCount)
+	}
+	solveMS := after.MeanLatencyMS*float64(after.LatencyCount) - before.MeanLatencyMS*float64(before.LatencyCount)
+	// The batch queued for nearly the whole hold; half of it leaves slack
+	// for timer and scheduler jitter while a work-only clock (a few ms on
+	// this 20×20 grid) stays far below.
+	if waitMS := float64(hold/2) / float64(time.Millisecond); solveMS < waitMS {
+		t.Fatalf("coalesced solve recorded %.1f ms, want ≥ %.1f ms of queue wait", solveMS, waitMS)
+	}
+}
+
 func TestSolveBatchArtifactMatchesScalarSolves(t *testing.T) {
 	const nrhs = 5
 	e, art, bs := coalesceFixture(t, Options{Workers: 4}, nrhs)

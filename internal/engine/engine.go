@@ -450,7 +450,7 @@ func (e *Engine) SparsifyWith(ctx context.Context, g *graph.Graph, bo BuildOpts)
 // detached from any single request's context: once started, the build
 // completes and fills the cache even if every waiter timed out — the
 // work is already paid for and the next request for this graph becomes a
-// hit. Incremental builds land in their own latency histogram so fast
+// hit. Incremental builds land in their own latency track so fast
 // delta rebuilds don't skew the cold-path percentiles.
 func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool, construct func(context.Context) (*core.Sparsifier, error)) {
 	enqueued := time.Now()
@@ -460,16 +460,16 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 	start := time.Now()
 	// Resolved after construction: an Update request whose rebuild fell
 	// back to a full build (monolithic base, rebalance replan, abandoned
-	// plan) costs cold-build time and must land in the cold histogram and
-	// counters, or the incremental percentiles stop describing delta
+	// plan) costs cold-build time and must land in the cold latency track
+	// and counters, or the incremental percentiles stop describing delta
 	// rebuilds.
 	incremental := false
 	defer func() {
-		hist := &e.c.latency
+		track := &e.c.latency
 		if incremental {
-			hist = &e.c.incLatency
+			track = &e.c.incLatency
 		}
-		hist.observe(time.Since(enqueued))
+		track.Observe(time.Since(enqueued))
 		e.c.inFlight.Add(-1)
 		<-e.sem
 		e.mu.Lock()
@@ -868,7 +868,7 @@ func runJob[T any](e *Engine, ctx context.Context, do func(context.Context) (T, 
 				e.c.jobErrors.Add(1)
 				ch <- result{zero, fmt.Errorf("engine: job panicked: %v (%w)", p, ErrInternal)}
 			}
-			e.c.latency.observe(time.Since(start))
+			e.c.latency.Observe(time.Since(start))
 			e.c.inFlight.Add(-1)
 			<-e.sem
 		}()

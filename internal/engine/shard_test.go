@@ -102,7 +102,7 @@ func TestShardConfigInKey(t *testing.T) {
 	}
 }
 
-// TestLatencyPercentiles: after at least one job, the derived percentile
+// TestLatencyPercentiles: after at least one job, the digest percentile
 // fields are populated and ordered.
 func TestLatencyPercentiles(t *testing.T) {
 	g := gen.Grid2D(12, 12, 3)
@@ -111,12 +111,12 @@ func TestLatencyPercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.P50LatencyMS <= 0 {
-		t.Fatalf("p50 = %g, want > 0 after a completed job", s.P50LatencyMS)
+	if s.P50LatencyUS <= 0 {
+		t.Fatalf("p50 = %g µs, want > 0 after a completed job", s.P50LatencyUS)
 	}
-	if s.P50LatencyMS > s.P95LatencyMS || s.P95LatencyMS > s.P99LatencyMS {
-		t.Fatalf("percentiles unordered: p50=%g p95=%g p99=%g",
-			s.P50LatencyMS, s.P95LatencyMS, s.P99LatencyMS)
+	if s.P50LatencyUS > s.P95LatencyUS || s.P95LatencyUS > s.P99LatencyUS {
+		t.Fatalf("percentiles unordered: p50=%g p95=%g p99=%g µs",
+			s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS)
 	}
 }
 

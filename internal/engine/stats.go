@@ -1,80 +1,11 @@
 package engine
 
 import (
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/tdigest"
 )
-
-// latencyBucketsMS are the upper bounds (milliseconds, inclusive) of the
-// job-latency histogram; the final implicit bucket is +Inf.
-var latencyBucketsMS = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// histogram is a fixed-bucket latency histogram with atomic counters, safe
-// for concurrent observation without locks.
-type histogram struct {
-	counts [len(latencyBucketsMS) + 1]atomic.Int64
-	sumNS  atomic.Int64
-	n      atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(latencyBucketsMS) && ms > latencyBucketsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-	h.n.Add(1)
-}
-
-// latencyTrack pairs the lock-free fixed-bucket histogram with a merging
-// t-digest of the same observations. The buckets answer "what shape is
-// the distribution" cheaply and compatibly with existing dashboards; the
-// digest answers "what is p99, exactly" — fixed millisecond buckets
-// cannot resolve microsecond-scale stream updates (everything lands in
-// the first bucket and interpolation invents the answer). Observations
-// take one short mutex hold; snapshots quantile under the same lock.
-type latencyTrack struct {
-	histogram
-	mu sync.Mutex
-	td *tdigest.TDigest
-}
-
-func (t *latencyTrack) observe(d time.Duration) {
-	t.histogram.observe(d)
-	t.mu.Lock()
-	if t.td == nil {
-		t.td = tdigest.New(0)
-	}
-	t.td.Add(float64(d) / float64(time.Microsecond))
-	t.mu.Unlock()
-}
-
-// quantilesUS returns digest-exact percentiles in microseconds.
-func (t *latencyTrack) quantilesUS(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	t.mu.Lock()
-	if t.td != nil {
-		for i, q := range qs {
-			out[i] = t.td.Quantile(q)
-		}
-	}
-	t.mu.Unlock()
-	return out
-}
-
-// LatencyBucket is one histogram bucket in a stats snapshot.
-type LatencyBucket struct {
-	// LE is the bucket's inclusive upper bound in milliseconds;
-	// +Inf is rendered as -1 for JSON friendliness.
-	LE    float64 `json:"le_ms"`
-	Count int64   `json:"count"`
-}
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
@@ -139,82 +70,34 @@ type Stats struct {
 	JobErrors int64 `json:"job_errors"`
 	// Latency of completed jobs (queue wait + work), EXCLUDING
 	// incremental delta rebuilds: those are fast by design, and folding
-	// them into the same buckets would drag the percentiles down until
+	// them into the same track would drag the percentiles down until
 	// they stopped describing the cold path once delta traffic dominates.
-	// The percentiles are derived from the histogram by linear
-	// interpolation inside the containing bucket, so operators don't have
-	// to re-derive them client-side; observations landing in the +Inf
-	// bucket clamp to the largest finite bound.
-	MeanLatencyMS float64         `json:"mean_latency_ms"`
-	P50LatencyMS  float64         `json:"p50_latency_ms"`
-	P95LatencyMS  float64         `json:"p95_latency_ms"`
-	P99LatencyMS  float64         `json:"p99_latency_ms"`
-	Latency       []LatencyBucket `json:"latency_histogram"`
-	// Digest-exact percentiles in microseconds (merging t-digest behind
-	// the fixed buckets): the buckets keep dashboard compatibility, the
-	// digest resolves sub-millisecond tails the buckets flatten.
-	P50LatencyUS float64 `json:"p50_latency_us"`
-	P95LatencyUS float64 `json:"p95_latency_us"`
-	P99LatencyUS float64 `json:"p99_latency_us"`
+	// Each track reports its exact count and mean plus t-digest
+	// percentiles in microseconds, which resolve sub-millisecond tails.
+	LatencyCount  int64   `json:"latency_count"`
+	MeanLatencyMS float64 `json:"mean_latency_ms"`
+	P50LatencyUS  float64 `json:"p50_latency_us"`
+	P95LatencyUS  float64 `json:"p95_latency_us"`
+	P99LatencyUS  float64 `json:"p99_latency_us"`
 	// The same latency block for incremental (Update) builds only.
-	IncrementalMeanLatencyMS float64         `json:"incremental_mean_latency_ms"`
-	IncrementalP50LatencyMS  float64         `json:"incremental_p50_latency_ms"`
-	IncrementalP95LatencyMS  float64         `json:"incremental_p95_latency_ms"`
-	IncrementalP99LatencyMS  float64         `json:"incremental_p99_latency_ms"`
-	IncrementalLatency       []LatencyBucket `json:"incremental_latency_histogram"`
-	IncrementalP50LatencyUS  float64         `json:"incremental_p50_latency_us"`
-	IncrementalP95LatencyUS  float64         `json:"incremental_p95_latency_us"`
-	IncrementalP99LatencyUS  float64         `json:"incremental_p99_latency_us"`
+	IncrementalLatencyCount  int64   `json:"incremental_latency_count"`
+	IncrementalMeanLatencyMS float64 `json:"incremental_mean_latency_ms"`
+	IncrementalP50LatencyUS  float64 `json:"incremental_p50_latency_us"`
+	IncrementalP95LatencyUS  float64 `json:"incremental_p95_latency_us"`
+	IncrementalP99LatencyUS  float64 `json:"incremental_p99_latency_us"`
 	// Streaming-session behaviour (/v2/stream): open sessions, rebuilds
 	// applied across all sessions, pushes that merged into an already
 	// pending rebuild instead of paying their own, pushes refused for
-	// backpressure, and the per-update rebuild latency — digest-exact in
-	// microseconds, where stream updates actually live.
-	StreamSessions     int             `json:"stream_sessions"`
-	StreamUpdates      int64           `json:"stream_updates"`
-	StreamCoalesced    int64           `json:"stream_coalesced"`
-	StreamBackpressure int64           `json:"stream_backpressure"`
-	StreamMeanMS       float64         `json:"stream_mean_latency_ms"`
-	StreamLatency      []LatencyBucket `json:"stream_latency_histogram"`
-	StreamP50US        float64         `json:"stream_p50_latency_us"`
-	StreamP95US        float64         `json:"stream_p95_latency_us"`
-	StreamP99US        float64         `json:"stream_p99_latency_us"`
-}
-
-// percentile estimates the q-quantile (0 < q < 1) in milliseconds from
-// the bucket counts, interpolating linearly within the containing bucket.
-func percentile(counts []int64, q float64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = latencyBucketsMS[i-1]
-		}
-		if i >= len(latencyBucketsMS) {
-			// +Inf bucket: no finite upper bound to interpolate toward.
-			return latencyBucketsMS[len(latencyBucketsMS)-1]
-		}
-		hi := latencyBucketsMS[i]
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + frac*(hi-lo)
-	}
-	return latencyBucketsMS[len(latencyBucketsMS)-1]
+	// backpressure, and the per-update rebuild latency block.
+	StreamSessions     int     `json:"stream_sessions"`
+	StreamUpdates      int64   `json:"stream_updates"`
+	StreamCoalesced    int64   `json:"stream_coalesced"`
+	StreamBackpressure int64   `json:"stream_backpressure"`
+	StreamLatencyCount int64   `json:"stream_latency_count"`
+	StreamMeanMS       float64 `json:"stream_mean_latency_ms"`
+	StreamP50US        float64 `json:"stream_p50_latency_us"`
+	StreamP95US        float64 `json:"stream_p95_latency_us"`
+	StreamP99US        float64 `json:"stream_p99_latency_us"`
 }
 
 // HitRate returns the cache hit fraction (0 when no lookups happened).
@@ -249,9 +132,9 @@ type counters struct {
 	streamUpdates      atomic.Int64
 	streamCoalesced    atomic.Int64
 	streamBackpressure atomic.Int64
-	latency            latencyTrack
-	incLatency         latencyTrack
-	streamLatency      latencyTrack
+	latency            tdigest.Recorder
+	incLatency         tdigest.Recorder
+	streamLatency      tdigest.Recorder
 }
 
 // batchSizeCap bounds the exact batch-width distribution; batches wider
@@ -274,8 +157,7 @@ func (c *counters) observeBatchSize(s int) {
 
 // batchPercentile returns the smallest batch width whose cumulative
 // count reaches the q-quantile of the exact size distribution (0 when
-// no batches ran). Unlike the latency percentiles there is no
-// interpolation: widths are small integers and the exact counts are
+// no batches ran). Widths are small integers and the exact counts are
 // kept, so the answer is the true order statistic.
 func batchPercentile(counts []int64, q float64) float64 {
 	var total int64
@@ -294,24 +176,6 @@ func batchPercentile(counts []int64, q float64) float64 {
 		}
 	}
 	return float64(len(counts) - 1)
-}
-
-// snapshotLatency renders one histogram into a bucket list, mean, and
-// interpolated percentiles.
-func snapshotLatency(h *histogram) (buckets []LatencyBucket, mean, p50, p95, p99 float64) {
-	counts := make([]int64, len(h.counts))
-	for i := range h.counts {
-		le := -1.0 // +Inf bucket
-		if i < len(latencyBucketsMS) {
-			le = latencyBucketsMS[i]
-		}
-		counts[i] = h.counts[i].Load()
-		buckets = append(buckets, LatencyBucket{LE: le, Count: counts[i]})
-	}
-	if n := h.n.Load(); n > 0 {
-		mean = float64(h.sumNS.Load()) / float64(n) / float64(time.Millisecond)
-	}
-	return buckets, mean, percentile(counts, 0.50), percentile(counts, 0.95), percentile(counts, 0.99)
 }
 
 func (c *counters) snapshot() Stats {
@@ -340,20 +204,15 @@ func (c *counters) snapshot() Stats {
 	}
 	s.BatchP50 = batchPercentile(sizes, 0.50)
 	s.BatchP95 = batchPercentile(sizes, 0.95)
-	s.Latency, s.MeanLatencyMS, s.P50LatencyMS, s.P95LatencyMS, s.P99LatencyMS = snapshotLatency(&c.latency.histogram)
-	s.IncrementalLatency, s.IncrementalMeanLatencyMS, s.IncrementalP50LatencyMS,
-		s.IncrementalP95LatencyMS, s.IncrementalP99LatencyMS = snapshotLatency(&c.incLatency.histogram)
-	q := c.latency.quantilesUS(0.50, 0.95, 0.99)
-	s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = q[0], q[1], q[2]
-	q = c.incLatency.quantilesUS(0.50, 0.95, 0.99)
-	s.IncrementalP50LatencyUS, s.IncrementalP95LatencyUS, s.IncrementalP99LatencyUS = q[0], q[1], q[2]
+	l := c.latency.Snapshot()
+	s.LatencyCount, s.MeanLatencyMS, s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = l.Count, l.MeanMS, l.P50US, l.P95US, l.P99US
+	l = c.incLatency.Snapshot()
+	s.IncrementalLatencyCount, s.IncrementalMeanLatencyMS = l.Count, l.MeanMS
+	s.IncrementalP50LatencyUS, s.IncrementalP95LatencyUS, s.IncrementalP99LatencyUS = l.P50US, l.P95US, l.P99US
 	s.StreamUpdates = c.streamUpdates.Load()
 	s.StreamCoalesced = c.streamCoalesced.Load()
 	s.StreamBackpressure = c.streamBackpressure.Load()
-	var streamMean float64
-	s.StreamLatency, streamMean, _, _, _ = snapshotLatency(&c.streamLatency.histogram)
-	s.StreamMeanMS = streamMean
-	q = c.streamLatency.quantilesUS(0.50, 0.95, 0.99)
-	s.StreamP50US, s.StreamP95US, s.StreamP99US = q[0], q[1], q[2]
+	l = c.streamLatency.Snapshot()
+	s.StreamLatencyCount, s.StreamMeanMS, s.StreamP50US, s.StreamP95US, s.StreamP99US = l.Count, l.MeanMS, l.P50US, l.P95US, l.P99US
 	return s
 }

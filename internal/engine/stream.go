@@ -405,7 +405,7 @@ func (s *Stream) drain() {
 		s.updates++
 		s.applied = covered
 		s.e.c.streamUpdates.Add(1)
-		s.e.c.streamLatency.observe(total)
+		s.e.c.streamLatency.Observe(total)
 		info := StreamUpdateInfo{
 			Key:          art.Key,
 			Cached:       cached,

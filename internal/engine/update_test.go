@@ -11,7 +11,7 @@ import (
 
 // TestEngineUpdateReusesClusters: a delta rebuild through the engine
 // reuses untouched clusters from the cluster store, lands in the
-// incremental counters and histogram, and is cached under the updated
+// incremental counters and latency track, and is cached under the updated
 // graph's own key so plain Sparsify traffic hits it.
 func TestEngineUpdateReusesClusters(t *testing.T) {
 	ctx := context.Background()
@@ -66,14 +66,11 @@ func TestEngineUpdateReusesClusters(t *testing.T) {
 	if !st.StitchLocalized && s.ClusterHits == 0 {
 		t.Fatalf("non-localized update should hit the cluster store: hits=%d", s.ClusterHits)
 	}
-	// The incremental build must be in the incremental histogram, not the
-	// cold one (the cold build + no solves ran besides it).
-	var incN int64
-	for _, b := range s.IncrementalLatency {
-		incN += b.Count
-	}
-	if incN != 1 {
-		t.Fatalf("incremental histogram holds %d observations, want 1", incN)
+	// The incremental build must be in the incremental latency track, not
+	// the cold one (the cold build + no solves ran besides it).
+	if s.IncrementalLatencyCount != 1 || s.LatencyCount != 1 {
+		t.Fatalf("latency tracks hold incremental=%d cold=%d observations, want 1 and 1",
+			s.IncrementalLatencyCount, s.LatencyCount)
 	}
 
 	// A plain Sparsify of the updated graph hits the incremental artifact.

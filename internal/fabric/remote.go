@@ -19,6 +19,7 @@ import (
 	"repro/internal/chol"
 	"repro/internal/precond"
 	"repro/internal/shard"
+	"repro/internal/tdigest"
 )
 
 // Defaults for Options' zero values.
@@ -175,7 +176,7 @@ type Remote struct {
 	factorMisses  atomic.Int64
 	peerFetches   atomic.Int64
 	peerHits      atomic.Int64
-	latency       histogram
+	latency       tdigest.Recorder
 
 	// Stream telemetry: the most recent DispatchStream's first/last
 	// result latencies, and the cumulative stitch time consumers report
@@ -281,7 +282,8 @@ func (r *Remote) Stats() *Stats {
 		m.mu.Unlock()
 		s.Workers = append(s.Workers, wh)
 	}
-	s.Latency, s.MeanLatencyMS, s.P50LatencyMS, s.P95LatencyMS, s.P99LatencyMS = r.latency.snapshot()
+	l := r.latency.Snapshot()
+	s.MeanLatencyMS, s.P50LatencyUS, s.P95LatencyUS, s.P99LatencyUS = l.MeanMS, l.P50US, l.P95US, l.P99US
 	return s
 }
 
@@ -574,7 +576,7 @@ func raceAttempt[T any](r *Remote, ctx context.Context, primary, hedge *member, 
 			return
 		}
 		m.noteSuccess()
-		r.latency.observe(time.Since(start))
+		r.latency.Observe(time.Since(start))
 		ch <- outcome{m, res, nil}
 	}
 

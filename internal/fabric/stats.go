@@ -1,92 +1,5 @@
 package fabric
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// remoteBucketsMS are the upper bounds (milliseconds, inclusive) of the
-// remote-dispatch latency histogram; the final implicit bucket is +Inf.
-// Same shape as the engine's job histogram so operators read one format.
-var remoteBucketsMS = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-// histogram is a fixed-bucket latency histogram with atomic counters.
-type histogram struct {
-	counts [len(remoteBucketsMS) + 1]atomic.Int64
-	sumNS  atomic.Int64
-	n      atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	i := 0
-	for i < len(remoteBucketsMS) && ms > remoteBucketsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(int64(d))
-	h.n.Add(1)
-}
-
-// LatencyBucket is one histogram bucket in a stats snapshot (+Inf is
-// rendered as -1 for JSON friendliness).
-type LatencyBucket struct {
-	LE    float64 `json:"le_ms"`
-	Count int64   `json:"count"`
-}
-
-// percentile estimates the q-quantile (0 < q < 1) in milliseconds from
-// bucket counts, interpolating linearly inside the containing bucket;
-// +Inf observations clamp to the largest finite bound.
-func percentile(counts []int64, q float64) float64 {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum int64
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = remoteBucketsMS[i-1]
-		}
-		if i >= len(remoteBucketsMS) {
-			return remoteBucketsMS[len(remoteBucketsMS)-1]
-		}
-		hi := remoteBucketsMS[i]
-		frac := (rank - float64(prev)) / float64(c)
-		return lo + frac*(hi-lo)
-	}
-	return remoteBucketsMS[len(remoteBucketsMS)-1]
-}
-
-func (h *histogram) snapshot() (buckets []LatencyBucket, mean, p50, p95, p99 float64) {
-	counts := make([]int64, len(h.counts))
-	for i := range h.counts {
-		le := -1.0 // +Inf bucket
-		if i < len(remoteBucketsMS) {
-			le = remoteBucketsMS[i]
-		}
-		counts[i] = h.counts[i].Load()
-		buckets = append(buckets, LatencyBucket{LE: le, Count: counts[i]})
-	}
-	if n := h.n.Load(); n > 0 {
-		mean = float64(h.sumNS.Load()) / float64(n) / float64(time.Millisecond)
-	}
-	return buckets, mean, percentile(counts, 0.50), percentile(counts, 0.95), percentile(counts, 0.99)
-}
-
 // WorkerHealth is the coordinator's view of one fleet member.
 type WorkerHealth struct {
 	URL string `json:"url"`
@@ -117,7 +30,7 @@ type WorkerHealth struct {
 // Stats is a point-in-time snapshot of the Remote dispatcher's fleet
 // telemetry: per-worker health and counters, degradation totals, and the
 // remote-dispatch latency distribution (successful calls only — a
-// timeout would otherwise read as a fast bucket entry at cancel time).
+// timeout would otherwise read as a fast observation at cancel time).
 type Stats struct {
 	Workers []WorkerHealth `json:"workers"`
 	// RemoteClusters counts cluster builds answered by the fleet;
@@ -152,9 +65,8 @@ type Stats struct {
 	StreamLastResultMS   float64 `json:"stream_last_result_ms"`
 	StreamOverlapSavedMS float64 `json:"stream_overlap_saved_ms"`
 
-	MeanLatencyMS float64         `json:"remote_mean_latency_ms"`
-	P50LatencyMS  float64         `json:"remote_p50_latency_ms"`
-	P95LatencyMS  float64         `json:"remote_p95_latency_ms"`
-	P99LatencyMS  float64         `json:"remote_p99_latency_ms"`
-	Latency       []LatencyBucket `json:"remote_latency_histogram"`
+	MeanLatencyMS float64 `json:"remote_mean_latency_ms"`
+	P50LatencyUS  float64 `json:"remote_p50_latency_us"`
+	P95LatencyUS  float64 `json:"remote_p95_latency_us"`
+	P99LatencyUS  float64 `json:"remote_p99_latency_us"`
 }

@@ -5,15 +5,15 @@
 // beyond) stay accurate even when the bulk of the mass sits three
 // orders of magnitude away — exactly the failure mode of fixed-bucket
 // latency histograms, where every sub-bucket observation rounds to the
-// same edge. The engine keeps one digest behind each histogram and
-// reports microsecond-scale percentiles from it.
+// same edge. Recorder wraps one digest with an exact count and sum for
+// the engine's and the fleet's latency tracks.
 //
 // The implementation is the merging variant: points accumulate in a
 // small buffer and are merged into the sorted centroid list in one
 // O(n log n) pass when the buffer fills, bounding both memory and
 // amortized per-observation cost. The k1 (arcsine) scale function caps
 // centroid count at ~2·compression. Digests are not safe for
-// concurrent use; callers serialize access.
+// concurrent use; callers serialize access (Recorder does).
 package tdigest
 
 import (

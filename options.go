@@ -234,7 +234,7 @@ func WithSparsifierGraph(p *Graph) Option {
 }
 
 // WithSparsifyOptions replaces the whole construction parameter block at
-// once — the bridge for v1 callers holding an Options struct.
+// once — the bridge for callers holding an Options struct.
 func WithSparsifyOptions(o Options) Option {
 	return func(c *Config) { c.Sparsify = o }
 }

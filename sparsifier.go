@@ -12,8 +12,7 @@ import (
 // factorization), built once by New and reused across every subsequent
 // measurement. Effective-resistance-style workloads issue many solves
 // against one preconditioner; the handle makes that reuse explicit instead
-// of silently rebuilding the factorization per call the way the deprecated
-// free functions do.
+// of rebuilding the factorization per call.
 //
 // A Sparsifier is immutable after construction and safe for concurrent
 // use. Every method takes a context.Context threaded down into the PCG

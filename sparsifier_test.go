@@ -110,8 +110,7 @@ func TestNewValidation(t *testing.T) {
 		t.Errorf("oversized graph: err = %v, want ErrTooLarge", err)
 	}
 
-	// Prebuilt sparsifier over a different vertex set → ErrDimension (the
-	// v1 free functions used to panic or return garbage here).
+	// Prebuilt sparsifier over a different vertex set → ErrDimension.
 	small := Grid2D(5, 5, 1)
 	if _, err := New(ctx, g, WithSparsifierGraph(small)); !errors.Is(err, ErrDimension) {
 		t.Errorf("mismatched sparsifier: err = %v, want ErrDimension", err)
@@ -124,25 +123,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(ctx, g, WithSparsifierGraph(discSub)); !errors.Is(err, ErrDisconnected) {
 		t.Errorf("disconnected sparsifier: err = %v, want ErrDisconnected", err)
-	}
-}
-
-// TestDeprecatedWrappersValidate: the v1 free functions inherit the v2
-// validation instead of panicking on mismatched vertex counts.
-func TestDeprecatedWrappersValidate(t *testing.T) {
-	g := Grid2D(8, 8, 1)
-	wrong := Grid2D(5, 5, 1)
-	if _, err := CondNumber(g, wrong, 1); !errors.Is(err, ErrDimension) {
-		t.Errorf("CondNumber: err = %v, want ErrDimension", err)
-	}
-	if _, _, err := SolvePCG(g, wrong, make([]float64, g.N), 1e-6); !errors.Is(err, ErrDimension) {
-		t.Errorf("SolvePCG: err = %v, want ErrDimension", err)
-	}
-	if _, err := Fiedler(g, wrong, 3, 1e-6, 1); !errors.Is(err, ErrDimension) {
-		t.Errorf("Fiedler: err = %v, want ErrDimension", err)
-	}
-	if _, err := TraceProxy(g, wrong, 10, 1); !errors.Is(err, ErrDimension) {
-		t.Errorf("TraceProxy: err = %v, want ErrDimension", err)
 	}
 }
 
@@ -307,7 +287,7 @@ func TestPartitionHandle(t *testing.T) {
 }
 
 // TestHandleCarriesShift: the handle's pencil uses the construction
-// Result.Shift — the satellite fix for the v1 wrappers that passed nil.
+// Result.Shift rather than recomputing (or dropping) it.
 func TestHandleCarriesShift(t *testing.T) {
 	ctx := context.Background()
 	g := Grid2D(15, 15, 7)

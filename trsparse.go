@@ -61,17 +61,14 @@
 // cap. cmd/trsparsed exposes the engine over HTTP (/v2/*, with
 // per-request deadlines).
 //
-// The one-shot free functions (Sparsify, SolvePCG, CondNumber, TraceProxy,
-// Fiedler, Evaluate) remain as deprecated wrappers over a throwaway
-// handle; see MIGRATION.md for the v1 → v2 mapping.
+// Evaluate runs the paper's Table-1 pipeline in one call. MIGRATION.md
+// maps the removed v1 free functions onto New and handle methods.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for how the
 // benchmark suite regenerates every table and figure of the paper.
 package trsparse
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -117,13 +114,10 @@ const (
 	MethodER = sparsify.ER
 )
 
-// Options configures Sparsify; the zero value selects the paper's
-// parameters (α = 10%·|V| recovered edges, N_r = 5 rounds, β = 5,
-// δ = 0.1).
-//
-// Deprecated: pass functional options (WithMethod, WithAlpha,
-// WithRecoveryRounds, ...) to New instead; WithSparsifyOptions bridges an
-// existing Options value.
+// Options configures Evaluate's construction; the zero value selects the
+// paper's parameters (α = 10%·|V| recovered edges, N_r = 5 rounds, β = 5,
+// δ = 0.1). New takes functional options (WithMethod, WithAlpha,
+// WithRecoveryRounds, ...); WithSparsifyOptions bridges an Options value.
 type Options = sparsify.Options
 
 // Result is a computed sparsifier plus instrumentation. Handles built by
@@ -163,9 +157,6 @@ const (
 type PrecondStats = precond.Stats
 
 // EvalOptions configures Evaluate's measurements.
-//
-// Deprecated: build a handle with New and call CondNumber/Solve directly;
-// EvalOptions remains for the Table-1 pipeline only.
 type EvalOptions = core.EvalOptions
 
 // Outcome bundles everything the paper's Table 1 reports for one run.
@@ -174,13 +165,6 @@ type Outcome = core.Outcome
 // NewGraph validates and builds a graph from an edge list; duplicate edges
 // are merged by summing weights.
 func NewGraph(n int, edges []Edge) (*Graph, error) { return graph.New(n, edges) }
-
-// Sparsify computes a spectral sparsifier of the connected graph g.
-//
-// Deprecated: use New, which additionally prepares the pencil once and
-// returns a cancellable handle; its Result method exposes the same
-// construction result.
-func Sparsify(g *Graph, opts Options) (*Result, error) { return sparsify.Sparsify(g, opts) }
 
 // Evaluate sparsifies g and measures sparsifier quality the way the
 // paper's Table 1 does: κ(L_G, L_P) by generalized Lanczos and PCG
@@ -195,88 +179,6 @@ func Evaluate(g *Graph, opts Options, eopts EvalOptions) (*Outcome, error) {
 // the sharded additive-Schwarz preconditioner (see WithPrecond). Handles
 // built by New carry one; access it via Sparsifier.Pencil.
 type Pencil = core.Pencil
-
-// NewPencil prepares the pencil for g preconditioned by sparsifier. Pass
-// Result.Shift as shift when the sparsifier came from Sparsify (nil selects
-// the default regularization).
-//
-// Deprecated: use New (optionally with WithSparsifierGraph), which manages
-// the shift itself and exposes the pencil via Sparsifier.Pencil.
-func NewPencil(g, sparsifier *Graph, shift []float64) (*Pencil, error) {
-	return core.NewPencil(g, sparsifier, shift)
-}
-
-// throwaway builds a single-use handle adopting the given sparsifier
-// subgraph — the shared implementation of the deprecated free functions.
-// Going through the handle buys the v1 surface the v2 validation (vertex
-// counts checked instead of panicking) and a shift consistent between
-// construction and measurement.
-func throwaway(g, sparsifier *Graph, opts ...Option) (*Sparsifier, error) {
-	return New(context.Background(), g, append([]Option{WithSparsifierGraph(sparsifier)}, opts...)...)
-}
-
-// CondNumber estimates the relative condition number κ(L_G, L_P) of a
-// graph and a subgraph sparsifier, using the shared diagonal
-// regularization the paper describes (λmin of the pencil is 1, so κ equals
-// the largest generalized eigenvalue).
-//
-// Deprecated: use New + Sparsifier.CondNumber, which reuses the
-// factorization across calls instead of rebuilding it here every time.
-func CondNumber(g, sparsifier *Graph, seed int64) (float64, error) {
-	s, err := throwaway(g, sparsifier)
-	if err != nil {
-		return 0, err
-	}
-	return s.CondNumberWith(context.Background(), 0, seed)
-}
-
-// SolvePCG solves L_G x = b with PCG preconditioned by the sparsifier's
-// Cholesky factorization, returning the solution and the iteration count.
-// tol is the relative residual tolerance (≤0 selects 1e-6).
-//
-// Deprecated: use New + Sparsifier.Solve — this wrapper rebuilds the
-// factorization on every call, which is exactly the cost the handle
-// amortizes (see BenchmarkSparsifierSolve).
-func SolvePCG(g, sparsifier *Graph, b []float64, tol float64) ([]float64, int, error) {
-	s, err := throwaway(g, sparsifier, WithTolerance(tol))
-	if err != nil {
-		return nil, 0, err
-	}
-	sol, err := s.Solve(context.Background(), b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return sol.X, sol.Iterations, nil
-}
-
-// TraceProxy estimates Tr(L_P⁻¹ L_G) — the paper's proxy for the relative
-// condition number (eq. 5) and the quantity Algorithm 2 greedily reduces —
-// with a Hutchinson stochastic estimator (≈30 probes give a few percent
-// accuracy; pass probes ≤ 0 for the default).
-//
-// Deprecated: use New + Sparsifier.TraceProxy.
-func TraceProxy(g, sparsifier *Graph, probes int, seed int64) (float64, error) {
-	s, err := throwaway(g, sparsifier)
-	if err != nil {
-		return 0, err
-	}
-	return s.TraceProxyWith(context.Background(), probes, seed)
-}
-
-// Fiedler approximates the Fiedler vector of g (the eigenvector of the
-// second-smallest Laplacian eigenvalue) by `steps` rounds of inverse power
-// iteration, solving each inner system with PCG preconditioned by the
-// sparsifier. It is the building block of spectral partitioning (§4.3).
-//
-// Deprecated: use New + Sparsifier.Fiedler (or Sparsifier.Partition for
-// the bipartition itself).
-func Fiedler(g, sparsifier *Graph, steps int, tol float64, seed int64) ([]float64, error) {
-	s, err := throwaway(g, sparsifier)
-	if err != nil {
-		return nil, err
-	}
-	return s.FiedlerWith(context.Background(), steps, tol, seed)
-}
 
 // Engine is the concurrent serving layer: a bounded worker pool plus an
 // LRU store of built Sparsifier handles keyed by graph fingerprint, so

@@ -1,29 +1,44 @@
 package trsparse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sparsify"
 )
 
+// adopt builds a handle that measures g through the given sparsifier
+// subgraph.
+func adopt(t *testing.T, g, sub *Graph, opts ...Option) *Sparsifier {
+	t.Helper()
+	s, err := New(context.Background(), g, append([]Option{WithSparsifierGraph(sub)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestFacadeSparsifyAndCondNumber(t *testing.T) {
+	ctx := context.Background()
 	g := Grid2D(40, 40, 1)
-	res, err := Sparsify(g, Options{Seed: 1})
+	res, err := sparsify.Sparsify(g, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kSparse, err := CondNumber(g, res.Sparsifier, 1)
+	kSparse, err := adopt(t, g, res.Sparsifier).CondNumberWith(ctx, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kTree, err := CondNumber(g, g.Subgraph(res.Tree.EdgeIdx), 1)
+	kTree, err := adopt(t, g, g.Subgraph(res.Tree.EdgeIdx)).CondNumberWith(ctx, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kSparse >= kTree {
 		t.Errorf("sparsifier κ=%.1f not below tree κ=%.1f", kSparse, kTree)
 	}
-	kSelf, err := CondNumber(g, g, 1)
+	kSelf, err := adopt(t, g, g).CondNumberWith(ctx, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,17 +48,18 @@ func TestFacadeSparsifyAndCondNumber(t *testing.T) {
 }
 
 func TestFacadeTraceProxyBoundsKappa(t *testing.T) {
+	ctx := context.Background()
 	// Eq. (5): κ ≤ Tr(L_P⁻¹ L_G). With estimator noise, allow 10% slack.
 	g := Grid2D(30, 30, 5)
-	res, err := Sparsify(g, Options{Seed: 5})
+	res, err := sparsify.Sparsify(g, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kappa, err := CondNumber(g, res.Sparsifier, 5)
+	kappa, err := adopt(t, g, res.Sparsifier).CondNumberWith(ctx, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := TraceProxy(g, res.Sparsifier, 100, 5)
+	trace, err := adopt(t, g, res.Sparsifier).TraceProxyWith(ctx, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +72,16 @@ func TestFacadeTraceProxyBoundsKappa(t *testing.T) {
 }
 
 func TestFacadeFiedlerPartitionsGrid(t *testing.T) {
+	ctx := context.Background()
 	// The Fiedler vector of an elongated grid splits it across the long
 	// axis: columns 0 and nx−1 must land on opposite signs.
 	nx, ny := 40, 8
 	g := Grid2D(nx, ny, 6)
-	res, err := Sparsify(g, Options{Seed: 6})
+	res, err := sparsify.Sparsify(g, Options{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fv, err := Fiedler(g, res.Sparsifier, 20, 1e-8, 6)
+	fv, err := adopt(t, g, res.Sparsifier).FiedlerWith(ctx, 20, 1e-8, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +93,9 @@ func TestFacadeFiedlerPartitionsGrid(t *testing.T) {
 }
 
 func TestFacadeSolvePCG(t *testing.T) {
+	ctx := context.Background()
 	g := Tri2D(30, 30, 2)
-	res, err := Sparsify(g, Options{Seed: 2})
+	res, err := sparsify.Sparsify(g, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +104,11 @@ func TestFacadeSolvePCG(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, iters, err := SolvePCG(g, res.Sparsifier, b, 1e-8)
+	sol, err := adopt(t, g, res.Sparsifier, WithTolerance(1e-8)).Solve(ctx, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, iters := sol.X, sol.Iterations
 	if iters <= 0 || iters > 200 {
 		t.Errorf("unexpected iteration count %d", iters)
 	}
