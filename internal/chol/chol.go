@@ -195,10 +195,11 @@ func New(a *sparse.CSC, opts Options) (*Factor, error) {
 // for the memory columns of Tables 2 and 3).
 func (f *Factor) NNZ() int { return f.L.NNZ() }
 
-// MemBytes estimates factor storage: 12 bytes per entry (8-byte value +
-// 4-byte row index) plus column pointers.
+// MemBytes returns the bytes the factor stores: 8 per element of L's
+// column pointers, row indices and values, and of the permutation and its
+// inverse.
 func (f *Factor) MemBytes() int64 {
-	return int64(f.L.NNZ())*12 + int64(f.N+1)*8
+	return 8 * int64(len(f.L.ColPtr)+len(f.L.RowIdx)+len(f.L.Val)+len(f.Perm)+len(f.inv))
 }
 
 // Solve solves A x = b in the original ordering, overwriting nothing;

@@ -334,3 +334,21 @@ func TestSolvePanelBitIdenticalToScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestMemBytesCountsStoredSlices pins MemBytes to what a Factor stores:
+// L's column pointers, 8-byte row indices and values, plus the
+// permutation and its inverse — 8 bytes per element of each.
+func TestMemBytesCountsStoredSlices(t *testing.T) {
+	a := laplacianPlusEps(60, 40, 3)
+	f, err := New(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nnz, n := int64(f.NNZ()), int64(f.N)
+	if want := 8*(n+1) + 16*nnz + 16*n; f.MemBytes() != want {
+		t.Fatalf("MemBytes = %d, want 8·(n+1) + 16·nnz + 16·n = %d", f.MemBytes(), want)
+	}
+	if want := 8 * int64(len(f.L.ColPtr)+len(f.L.RowIdx)+len(f.L.Val)+len(f.Perm)+len(f.inv)); f.MemBytes() != want {
+		t.Fatalf("MemBytes = %d, want %d", f.MemBytes(), want)
+	}
+}

@@ -3,6 +3,10 @@ package engine
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/chol"
+	"repro/internal/gen"
+	"repro/internal/lap"
 )
 
 // pairsOfSize builds an edge set whose accounted footprint is
@@ -76,5 +80,40 @@ func TestClusterStoreNoByteBudgetKeepsCountBound(t *testing.T) {
 	}
 	if got := s.Len(); got != 3 {
 		t.Fatalf("count bound broken: len=%d, want 3", got)
+	}
+}
+
+// TestClusterStoreChargesWholeFactor gives the store a byte budget one
+// byte above what it would account for a real factor entry plus a small
+// edge entry under the old MemBytes, which charged 12 bytes per factor
+// entry plus the column pointers and left out the permutations. A budget
+// sized from that under-count must not keep the factor: with its real
+// footprint charged, the older factor entry is evicted.
+func TestClusterStoreChargesWholeFactor(t *testing.T) {
+	g := gen.Grid2D(20, 20, 1)
+	f, err := chol.New(lap.Laplacian(g, lap.Shift(g, 0)), chol.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, g.N)
+	for i := range idx {
+		idx[i] = i
+	}
+	fill := func(s *ClusterStore) {
+		s.AddFactor("factor", f, idx)
+		s.AddCluster("edges", pairsOfSize(10))
+	}
+	unbounded := NewClusterStore(100, 0)
+	fill(unbounded)
+	underCount := int64(f.NNZ())*12 + int64(f.N+1)*8
+	budget := unbounded.Bytes() - f.MemBytes() + underCount + 1
+
+	s := NewClusterStore(100, budget)
+	fill(s)
+	if _, _, ok := s.GetFactor("factor"); ok {
+		t.Fatalf("factor stayed resident under a %d-byte budget; the store charges %d bytes for the two entries", budget, unbounded.Bytes())
+	}
+	if _, ok := s.GetCluster("edges"); !ok {
+		t.Fatal("the most recent entry was evicted")
 	}
 }

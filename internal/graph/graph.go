@@ -5,9 +5,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is one weighted undirected edge. U < V is not required but builders
@@ -103,11 +104,11 @@ func mergeMap(norm []Edge) []Edge {
 // mergeSorted deduplicates normalized edges by sorting on (U, V) and
 // summing adjacent runs in place — no per-edge map allocations.
 func mergeSorted(norm []Edge) []Edge {
-	sort.Slice(norm, func(a, b int) bool {
-		if norm[a].U != norm[b].U {
-			return norm[a].U < norm[b].U
+	slices.SortFunc(norm, func(a, b Edge) int {
+		if c := cmp.Compare(a.U, b.U); c != 0 {
+			return c
 		}
-		return norm[a].V < norm[b].V
+		return cmp.Compare(a.V, b.V)
 	})
 	merged := norm[:0]
 	for _, e := range norm {

@@ -4,11 +4,17 @@
 // CHOLMOD uses in the paper's experimental setup.
 //
 // All orderings return a permutation perm with perm[newIdx] = oldIdx.
+//
+// Orderings are deterministic functions of the adjacency and its visit
+// order, and the implementations keep them bit-identical across rewrites:
+// ComputeMinDegree's typed heap and ComputeRCM's neighbor sort reproduce
+// the container/heap and sort.Slice versions they replaced, which the
+// package tests keep as oracles (fixed graphs plus FuzzComputeMinDegree).
 package order
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Adjacency is the minimal graph view orderings need: vertex count and a
@@ -119,7 +125,7 @@ func ComputeRCM(a Adjacency) []int {
 					nbr = append(nbr, v)
 				}
 			})
-			sort.Slice(nbr, func(x, y int) bool { return deg[nbr[x]] < deg[nbr[y]] })
+			slices.SortFunc(nbr, func(x, y int) int { return cmp.Compare(deg[x], deg[y]) })
 			queue = append(queue, nbr...)
 		}
 	}
@@ -177,28 +183,75 @@ func pseudoPeripheral(a Adjacency, s int, deg []int) int {
 
 // --- minimum degree ---
 
+// mdItem is one heap entry: a vertex and the degree key it was pushed with.
 type mdItem struct {
 	deg, v int
 }
 
+// mdHeap is a binary min-heap on deg. Its init, push and pop repeat
+// container/heap's Init, Push and Pop step for step, so entries with equal
+// keys pop in exactly the order container/heap would pop them.
 type mdHeap []mdItem
 
-func (h mdHeap) Len() int            { return len(h) }
-func (h mdHeap) Less(i, j int) bool  { return h[i].deg < h[j].deg }
-func (h mdHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mdHeap) Push(x interface{}) { *h = append(*h, x.(mdItem)) }
-func (h *mdHeap) Pop() interface{} {
+func (h mdHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
+}
+
+func (h *mdHeap) push(it mdItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *mdHeap) pop() mdItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h mdHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].deg < h[i].deg) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h mdHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].deg < h[j1].deg {
+			j = j2 // right child
+		}
+		if !(h[j].deg < h[i].deg) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // ComputeMinDegree returns a minimum-degree ordering using lazy degree
 // updates: adjacency lists accumulate duplicates and eliminated vertices and
 // are compacted when a vertex is popped. On tree-like graphs (the
 // sparsifier Laplacians) this runs in near-linear time with near-zero fill.
+//
+// The permutation is bit-identical to the container/heap and sort.Slice
+// implementation this replaced: the typed heap breaks ties in the same
+// order, and compaction yields the same sorted, distinct, alive neighbor
+// list. Tests keep that implementation as an oracle and compare the two
+// on fixed graphs, on a sharded sparsifier Laplacian, and under fuzzing.
 func ComputeMinDegree(a Adjacency) []int {
 	n := a.Len()
 	adj := make([][]int32, n)
@@ -212,27 +265,31 @@ func ComputeMinDegree(a Adjacency) []int {
 	for v := 0; v < n; v++ {
 		h = append(h, mdItem{deg: len(adj[v]), v: v})
 	}
-	heap.Init(&h)
+	h.init()
 	perm := make([]int, 0, n)
 	var scratch []int32
+	// mark[u] == stamp means u was already kept by the current compaction.
+	mark := make([]int, n)
+	stamp := 0
 	compact := func(v int) []int32 {
-		// Dedup and drop eliminated neighbors in place.
+		// Drop duplicates, eliminated neighbors and v itself in place,
+		// then sort the distinct survivors.
+		stamp++
 		lst := adj[v]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
 		out := lst[:0]
-		var prev int32 = -1
 		for _, u := range lst {
-			if u == prev || eliminated[u] || int(u) == v {
+			if eliminated[u] || int(u) == v || mark[u] == stamp {
 				continue
 			}
+			mark[u] = stamp
 			out = append(out, u)
-			prev = u
 		}
+		slices.Sort(out)
 		adj[v] = out
 		return out
 	}
 	for len(perm) < n {
-		it := heap.Pop(&h).(mdItem)
+		it := h.pop()
 		v := it.v
 		if eliminated[v] {
 			continue
@@ -240,7 +297,7 @@ func ComputeMinDegree(a Adjacency) []int {
 		nb := compact(v)
 		if len(nb) > it.deg {
 			// Stale (too small) key; reinsert with the true degree.
-			heap.Push(&h, mdItem{deg: len(nb), v: v})
+			h.push(mdItem{deg: len(nb), v: v})
 			continue
 		}
 		// Eliminate v: its alive neighbors form a clique.
@@ -250,7 +307,7 @@ func ComputeMinDegree(a Adjacency) []int {
 		for _, u := range scratch {
 			adj[u] = append(adj[u], scratch...)
 			// Lazy: duplicates and u itself get filtered at compaction.
-			heap.Push(&h, mdItem{deg: len(adj[u]), v: int(u)})
+			h.push(mdItem{deg: len(adj[u]), v: int(u)})
 		}
 		adj[v] = nil
 	}

@@ -1,8 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/dsu"
 	"repro/internal/graph"
@@ -82,11 +83,16 @@ func (loc *Localize) adoptByIndex(g *graph.Graph, plan *Plan, dirty []bool) [][]
 // sortCutByWeight orders cut-edge indices by descending weight with the
 // index tie-break — the forest preference shared with the full stitch.
 func sortCutByWeight(g *graph.Graph, cut []int) {
-	sort.Slice(cut, func(a, b int) bool {
-		if g.Edges[cut[a]].W != g.Edges[cut[b]].W {
-			return g.Edges[cut[a]].W > g.Edges[cut[b]].W
+	slices.SortFunc(cut, func(a, b int) int {
+		// Negative exactly when W[a] > W[b], or the weights are equal
+		// and a < b; cmp.Compare would order NaN weights differently.
+		if wa, wb := g.Edges[a].W, g.Edges[b].W; wa != wb {
+			if wa > wb {
+				return -1
+			}
+			return 1
 		}
-		return cut[a] < cut[b]
+		return cmp.Compare(a, b)
 	})
 }
 

@@ -22,11 +22,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -460,11 +461,16 @@ func argsort(vals []float64) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if vals[idx[a]] != vals[idx[b]] {
-			return vals[idx[a]] < vals[idx[b]]
+	slices.SortFunc(idx, func(a, b int) int {
+		// Negative exactly when vals[a] < vals[b], or the values are
+		// equal and a < b; cmp.Compare would order NaN differently.
+		if va, vb := vals[a], vals[b]; va != vb {
+			if va < vb {
+				return -1
+			}
+			return 1
 		}
-		return idx[a] < idx[b] // deterministic tie-break
+		return cmp.Compare(a, b) // deterministic tie-break
 	})
 	return idx
 }

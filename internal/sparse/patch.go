@@ -1,6 +1,10 @@
 package sparse
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // This file holds the in-place patching primitives behind the streaming
 // delta path: instead of reassembling a CSC matrix from triplets after a
@@ -47,11 +51,11 @@ func (a *CSC) InsertEntries(entries []Entry) *CSC {
 		return a.CloneValues()
 	}
 	ins := append([]Entry(nil), entries...)
-	sort.Slice(ins, func(x, y int) bool {
-		if ins[x].J != ins[y].J {
-			return ins[x].J < ins[y].J
+	slices.SortFunc(ins, func(x, y Entry) int {
+		if c := cmp.Compare(x.J, y.J); c != 0 {
+			return c
 		}
-		return ins[x].I < ins[y].I
+		return cmp.Compare(x.I, y.I)
 	})
 	out := &CSC{
 		Rows:   a.Rows,

@@ -10,7 +10,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -312,6 +314,11 @@ func (t *Triplet) NNZ() int { return len(t.I) }
 // ToCSC converts the accumulated triplets to CSC form, summing duplicates
 // and dropping explicit zeros that result from cancellation is NOT done
 // (stored zeros are kept so patterns remain predictable).
+//
+// Each column is sorted by row with slices.SortFunc, which runs the same
+// pdqsort as sort.Slice, compare for compare and swap for swap, so
+// duplicates are summed in a fixed order and Val is bit-identical to the
+// sort.Slice assembly the package tests keep as an oracle.
 func (t *Triplet) ToCSC() *CSC {
 	nnz := len(t.I)
 	a := &CSC{
@@ -351,7 +358,7 @@ func (t *Triplet) ToCSC() *CSC {
 		for k := lo; k < hi; k++ {
 			buf = append(buf, kv{rowIdx[k], val[k]})
 		}
-		sort.Slice(buf, func(x, y int) bool { return buf[x].i < buf[y].i })
+		slices.SortFunc(buf, func(x, y kv) int { return cmp.Compare(x.i, y.i) })
 		for k := 0; k < len(buf); {
 			i := buf[k].i
 			s := buf[k].v

@@ -15,10 +15,11 @@
 package sparsify
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -444,20 +445,32 @@ func subgraphView(g *graph.Graph, inSub []bool) *graph.Graph {
 	return g.Subgraph(idx)
 }
 
-// selectEdges adds up to quota candidate edges in descending score order,
-// skipping excluded (spectrally similar) ones and marking the neighborhoods
-// of every recovered edge. Returns the number of edges added.
-func selectEdges(g *graph.Graph, res *Result, excl *excluder, cand []int, scores []float64, quota int) int {
+// byScore returns positions into cand ordered by descending score, ties
+// broken by ascending edge index. The comparator is negative exactly when
+// scores[a] > scores[b], or the scores are equal and cand[a] < cand[b];
+// cmp.Compare would order NaN scores differently.
+func byScore(cand []int, scores []float64) []int {
 	order := make([]int, len(cand))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if scores[order[a]] != scores[order[b]] {
-			return scores[order[a]] > scores[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		if sa, sb := scores[a], scores[b]; sa != sb {
+			if sa > sb {
+				return -1
+			}
+			return 1
 		}
-		return cand[order[a]] < cand[order[b]]
+		return cmp.Compare(cand[a], cand[b])
 	})
+	return order
+}
+
+// selectEdges adds up to quota candidate edges in descending score order,
+// skipping excluded (spectrally similar) ones and marking the neighborhoods
+// of every recovered edge. Returns the number of edges added.
+func selectEdges(g *graph.Graph, res *Result, excl *excluder, cand []int, scores []float64, quota int) int {
+	order := byScore(cand, scores)
 	excl.beginRound(res.InSub)
 	added := 0
 	for _, oi := range order {

@@ -8,9 +8,10 @@
 package tree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dsu"
 	"repro/internal/graph"
@@ -66,18 +67,30 @@ func MEWST(g *graph.Graph) (*Tree, error) {
 	return fromKey(g, key)
 }
 
-// fromKey runs Kruskal picking edges by descending key and roots the tree.
-func fromKey(g *graph.Graph, key []float64) (*Tree, error) {
-	idx := make([]int, g.M())
+// byDescendingKey returns the edge indices ordered by descending key,
+// ties broken by ascending index. The comparator is negative exactly when
+// key[a] > key[b], or the keys are equal and a < b; cmp.Compare would
+// order NaN keys differently.
+func byDescendingKey(key []float64) []int {
+	idx := make([]int, len(key))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if key[idx[a]] != key[idx[b]] {
-			return key[idx[a]] > key[idx[b]]
+	slices.SortFunc(idx, func(a, b int) int {
+		if ka, kb := key[a], key[b]; ka != kb {
+			if ka > kb {
+				return -1
+			}
+			return 1
 		}
-		return idx[a] < idx[b] // deterministic tie-break
+		return cmp.Compare(a, b) // deterministic tie-break
 	})
+	return idx
+}
+
+// fromKey runs Kruskal picking edges by descending key and roots the tree.
+func fromKey(g *graph.Graph, key []float64) (*Tree, error) {
+	idx := byDescendingKey(key)
 	d := dsu.New(g.N)
 	treeEdges := make([]int, 0, g.N-1)
 	inTree := make([]bool, g.M())
