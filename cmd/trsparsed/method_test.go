@@ -80,3 +80,24 @@ func TestSolveMethodOverride(t *testing.T) {
 		t.Fatalf("unknown method on solve: status=%d code=%q", resp.StatusCode, e.Code)
 	}
 }
+
+// TestPartitionBuildOverrides: an inline-graph partition builds with the
+// same per-request overrides as sparsify and solve — ?method=er yields
+// the -mer artifact, an unknown method is a 400.
+func TestPartitionBuildOverrides(t *testing.T) {
+	ts := newTestServer(t)
+	g := gen.Grid2D(20, 20, 3)
+	req := partitionRequest{Graph: &graphPayload{N: g.N, Edges: edgesPayload(g)}}
+
+	var e errorResponse
+	if resp := postJSON(t, ts.URL+"/v2/partition?method=banana", req, &e); resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_request" {
+		t.Fatalf("unknown method: status=%d code=%q, want 400 invalid_request", resp.StatusCode, e.Code)
+	}
+	var part partitionResponse
+	if resp := postJSON(t, ts.URL+"/v2/partition?method=er", req, &part); resp.StatusCode != http.StatusOK {
+		t.Fatalf("?method=er partition status = %d", resp.StatusCode)
+	}
+	if !strings.HasSuffix(part.Key, "-mer") || len(part.Partition) != g.N {
+		t.Fatalf("?method=er partition: key %q with %d labels, want a -mer key and %d labels", part.Key, len(part.Partition), g.N)
+	}
+}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/precond"
 	"repro/internal/sparsify"
+	"repro/internal/wire"
 )
 
 // maxBodyBytes caps request bodies; a 64 MiB Matrix Market file covers
@@ -76,13 +76,23 @@ func requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
 	return ctx, cancel, nil
 }
 
-// graphPayload is an inline graph: vertex count plus [u, v, w] triples.
-type graphPayload struct {
-	N     int          `json:"n"`
-	Edges [][3]float64 `json:"edges"`
+// graphBody is an inline graph: vertex count plus [u, v, w] triples.
+type graphBody struct {
+	N     int
+	Edges wire.Edges
 }
 
-func (p *graphPayload) toGraph() (*graph.Graph, error) {
+func (p *graphBody) member(d *wire.Decoder, key []byte) error {
+	switch {
+	case wire.Key(key, "n"):
+		return d.Int(&p.N)
+	case wire.Key(key, "edges"):
+		return d.Edges(&p.Edges, 3)
+	}
+	return d.Skip()
+}
+
+func (p *graphBody) toGraph() (*graph.Graph, error) {
 	if p == nil {
 		return nil, errors.New("missing graph")
 	}
@@ -92,29 +102,46 @@ func (p *graphPayload) toGraph() (*graph.Graph, error) {
 	// Sparsification needs a connected graph, which takes at least n-1
 	// edges; rejecting larger n here keeps a tiny request body from
 	// driving O(n) adjacency allocations with an inflated vertex count.
-	if p.N > len(p.Edges)+1 {
-		return nil, fmt.Errorf("n=%d cannot be connected by %d edges", p.N, len(p.Edges))
+	if p.N > len(p.Edges.List)+1 {
+		return nil, fmt.Errorf("n=%d cannot be connected by %d edges", p.N, len(p.Edges.List))
 	}
-	edges := make([]graph.Edge, len(p.Edges))
-	for i, e := range p.Edges {
-		if e[0] != math.Trunc(e[0]) || e[1] != math.Trunc(e[1]) {
-			return nil, fmt.Errorf("edge %d has non-integer endpoints [%g, %g]", i, e[0], e[1])
-		}
-		edges[i] = graph.Edge{U: int(e[0]), V: int(e[1]), W: e[2]}
+	if err := p.Edges.Check("edge"); err != nil {
+		return nil, err
 	}
-	return graph.New(p.N, edges)
+	return graph.New(p.N, p.Edges.List)
 }
 
-func edgesPayload(g *graph.Graph) [][3]float64 {
-	out := make([][3]float64, g.M())
-	for i, e := range g.Edges {
-		out[i] = [3]float64{float64(e.U), float64(e.V), e.W}
-	}
-	return out
+// sparsifyBody is the JSON form of a /v2/sparsify request.
+type sparsifyBody struct {
+	Graph *graphBody
 }
 
-type sparsifyRequest struct {
-	Graph *graphPayload `json:"graph"`
+func (b *sparsifyBody) member(d *wire.Decoder, key []byte) error {
+	if wire.Key(key, "graph") {
+		return wire.Pointer(d, &b.Graph, (*graphBody).member)
+	}
+	return d.Skip()
+}
+
+// decodeJSON decodes a whole JSON request body with the wire codec,
+// calling member for each top-level key.
+func decodeJSON(data []byte, member func(d *wire.Decoder, key []byte) error) error {
+	d := wire.NewDecoder(data)
+	if err := d.Decode(func(key []byte) error { return member(d, key) }); err != nil {
+		return fmt.Errorf("decoding JSON body: %w", err)
+	}
+	return nil
+}
+
+// readJSON reads the request body (at most maxBodyBytes) into a pooled
+// buffer and decodes it with decodeJSON.
+func readJSON(w http.ResponseWriter, r *http.Request, member func(d *wire.Decoder, key []byte) error) error {
+	body, err := wire.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength, maxBodyBytes)
+	if err != nil {
+		return fmt.Errorf("decoding JSON body: %w", err)
+	}
+	defer body.Release()
+	return decodeJSON(body.B, member)
 }
 
 // shardInfo is the response-side summary of a sharded build (or of the
@@ -163,22 +190,59 @@ func precondInfoOf(art *engine.Artifact) *precondInfo {
 	}
 }
 
-type sparsifyResponse struct {
-	Key             string       `json:"key"`
-	N               int          `json:"n"`
-	M               int          `json:"m"`
-	SparsifierEdges [][3]float64 `json:"sparsifier_edges,omitempty"`
-	EdgeCount       int          `json:"sparsifier_edge_count"`
-	Cached          bool         `json:"cached"`
-	BuildMS         float64      `json:"build_ms"`
+// sparsifyReply is the /v2/sparsify response. Its JSON keys, in order:
+// key, n, m, sparsifier_edges (as [u,v,w] triples; omitted when empty),
+// sparsifier_edge_count, cached, build_ms, sharded and precond (both
+// omitted when nil).
+type sparsifyReply struct {
+	Key             string
+	N               int
+	M               int
+	SparsifierEdges []graph.Edge
+	EdgeCount       int
+	Cached          bool
+	BuildMS         float64
 	// Sharded is non-nil when the artifact was built through the
 	// partition-parallel pipeline (?shards=/?shard_threshold=, the
 	// server's -shard-threshold default, or admission above
 	// -max-vertices).
-	Sharded *shardInfo `json:"sharded,omitempty"`
+	Sharded *shardInfo
 	// Precond reports how the artifact's preconditioner was built
 	// (?precond=monolithic|schwarz|auto selects the strategy).
-	Precond *precondInfo `json:"precond,omitempty"`
+	Precond *precondInfo
+}
+
+func (r *sparsifyReply) appendJSON(e *wire.Encoder) {
+	e.Raw(`{"key":`)
+	e.String(r.Key)
+	e.Raw(`,"n":`)
+	e.Int(r.N)
+	e.Raw(`,"m":`)
+	e.Int(r.M)
+	if len(r.SparsifierEdges) > 0 {
+		e.Raw(`,"sparsifier_edges":`)
+		e.Edges(r.SparsifierEdges)
+	}
+	e.Raw(`,"sparsifier_edge_count":`)
+	e.Int(r.EdgeCount)
+	e.Raw(`,"cached":`)
+	e.Bool(r.Cached)
+	e.Raw(`,"build_ms":`)
+	e.Float(r.BuildMS)
+	appendInfo(e, r.Sharded, r.Precond)
+	e.Raw(`}`)
+}
+
+// appendInfo appends the optional sharded and precond blocks.
+func appendInfo(e *wire.Encoder, sharded *shardInfo, pc *precondInfo) {
+	if sharded != nil {
+		e.Raw(`,"sharded":`)
+		e.JSON(sharded)
+	}
+	if pc != nil {
+		e.Raw(`,"precond":`)
+		e.JSON(pc)
+	}
 }
 
 // buildOptsFrom parses the per-request build overrides: ?shards=K,
@@ -257,13 +321,12 @@ func isMatrixMarket(r *http.Request) bool {
 // readGraph extracts the graph from a sparsify request body, accepting
 // either JSON (inline edge list) or a raw Matrix Market upload.
 func (s *server) readGraph(w http.ResponseWriter, r *http.Request) (*graph.Graph, error) {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if isMatrixMarket(r) {
-		return trsparse.ReadMatrixMarketGraph(body)
+		return trsparse.ReadMatrixMarketGraph(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	}
-	var req sparsifyRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding JSON body: %w", err)
+	var req sparsifyBody
+	if err := readJSON(w, r, req.member); err != nil {
+		return nil, err
 	}
 	return req.Graph.toGraph()
 }
@@ -290,7 +353,7 @@ func (s *server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusOf(err), err)
 		return
 	}
-	resp := sparsifyResponse{
+	resp := sparsifyReply{
 		Key:       art.Key,
 		N:         art.Fingerprint.N,
 		M:         art.Fingerprint.M,
@@ -304,33 +367,46 @@ func (s *server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 	// clients that only want the key for later /v2/solve calls, rendering
 	// millions of [u,v,w] triples per request is pure memory amplification.
 	if v := r.URL.Query().Get("edges"); v != "false" && v != "0" {
-		resp.SparsifierEdges = edgesPayload(art.SparsifierGraph())
+		resp.SparsifierEdges = art.SparsifierGraph().Edges
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, &resp)
 }
 
-// updateRequest is an edge delta against a cached base artifact: set
-// adds or reweights edges ([u, v, w] triples), remove deletes them
-// ([u, v] pairs). The vertex set is fixed.
-type updateRequest struct {
-	Key    string       `json:"key"`
-	Set    [][3]float64 `json:"set,omitempty"`
-	Remove [][2]float64 `json:"remove,omitempty"`
+// deltaBody is an edge delta against a cached base artifact (/v2/update)
+// or a stream session (/v2/stream/{id}): set adds or reweights edges
+// ([u, v, w] triples), remove deletes them ([u, v] pairs). The vertex
+// set is fixed.
+type deltaBody struct {
+	Key    string
+	Set    wire.Edges
+	Remove wire.Edges
 }
 
-func (r *updateRequest) toDelta() (graph.Delta, error) {
+func (b *deltaBody) member(d *wire.Decoder, key []byte) error {
+	switch {
+	case wire.Key(key, "key"):
+		return d.String(&b.Key)
+	case wire.Key(key, "set"):
+		return d.Edges(&b.Set, 3)
+	case wire.Key(key, "remove"):
+		return d.Edges(&b.Remove, 2)
+	}
+	return d.Skip()
+}
+
+func (b *deltaBody) toDelta() (graph.Delta, error) {
 	var d graph.Delta
-	for i, e := range r.Set {
-		if e[0] != math.Trunc(e[0]) || e[1] != math.Trunc(e[1]) {
-			return d, fmt.Errorf("set %d has non-integer endpoints [%g, %g]", i, e[0], e[1])
-		}
-		d.Set = append(d.Set, graph.Edge{U: int(e[0]), V: int(e[1]), W: e[2]})
+	if err := b.Set.Check("set"); err != nil {
+		return d, err
 	}
-	for i, e := range r.Remove {
-		if e[0] != math.Trunc(e[0]) || e[1] != math.Trunc(e[1]) {
-			return d, fmt.Errorf("remove %d has non-integer endpoints [%g, %g]", i, e[0], e[1])
-		}
-		d.Remove = append(d.Remove, [2]int{int(e[0]), int(e[1])})
+	if err := b.Remove.Check("remove"); err != nil {
+		return d, err
+	}
+	if len(b.Set.List) > 0 {
+		d.Set = b.Set.List
+	}
+	for _, e := range b.Remove.List {
+		d.Remove = append(d.Remove, [2]int{e.U, e.V})
 	}
 	return d, nil
 }
@@ -394,9 +470,9 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	var req updateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding JSON body: %w", err))
+	var req deltaBody
+	if err := readJSON(w, r, req.member); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Key == "" {
@@ -431,34 +507,70 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type solveRequest struct {
+// solveBody is the JSON form of a /v2/solve request.
+type solveBody struct {
 	// Key references an artifact from a previous /v2/sparsify response;
 	// alternatively pass the graph inline.
-	Key   string        `json:"key,omitempty"`
-	Graph *graphPayload `json:"graph,omitempty"`
-	B     []float64     `json:"b,omitempty"`
+	Key   string
+	Graph *graphBody
+	B     []float64
 	// Rhs is the batched form: an array of right-hand-side vectors solved
 	// together as one block solve (one matrix sweep and one
 	// preconditioner apply per iteration serve every column). Exactly one
 	// of B and Rhs must be set; every Rhs column must have the same
 	// length.
-	Rhs [][]float64 `json:"rhs,omitempty"`
-	Tol float64     `json:"tol,omitempty"`
+	Rhs [][]float64
+	Tol float64
 }
 
-type solveResponse struct {
-	Key        string    `json:"key"`
-	X          []float64 `json:"x"`
-	Iterations int       `json:"iterations"`
-	RelRes     float64   `json:"relres"`
-	Converged  bool      `json:"converged"`
-	Cached     bool      `json:"cached"`
+func (b *solveBody) member(d *wire.Decoder, key []byte) error {
+	switch {
+	case wire.Key(key, "key"):
+		return d.String(&b.Key)
+	case wire.Key(key, "graph"):
+		return wire.Pointer(d, &b.Graph, (*graphBody).member)
+	case wire.Key(key, "b"):
+		return d.Floats(&b.B)
+	case wire.Key(key, "rhs"):
+		return d.FloatRows(&b.Rhs)
+	case wire.Key(key, "tol"):
+		return d.Float(&b.Tol)
+	}
+	return d.Skip()
+}
+
+// solveReply answers a single-rhs solve. Its JSON keys, in order: key,
+// x, iterations, relres, converged, cached, precond (omitted when nil).
+type solveReply struct {
+	Key        string
+	X          []float64
+	Iterations int
+	RelRes     float64
+	Converged  bool
+	Cached     bool
 	// Precond reports the preconditioner the solve ran through. For
 	// inline graphs ?precond= selects the strategy at build time; for
 	// by-key solves the artifact's existing preconditioner is reported
 	// (the key pins the build, so ?precond= cannot change it — re-POST
 	// /v2/sparsify with the desired strategy instead).
-	Precond *precondInfo `json:"precond,omitempty"`
+	Precond *precondInfo
+}
+
+func (r *solveReply) appendJSON(e *wire.Encoder) {
+	e.Raw(`{"key":`)
+	e.String(r.Key)
+	e.Raw(`,"x":`)
+	e.Floats(r.X)
+	e.Raw(`,"iterations":`)
+	e.Int(r.Iterations)
+	e.Raw(`,"relres":`)
+	e.Float(r.RelRes)
+	e.Raw(`,"converged":`)
+	e.Bool(r.Converged)
+	e.Raw(`,"cached":`)
+	e.Bool(r.Cached)
+	appendInfo(e, nil, r.Precond)
+	e.Raw(`}`)
 }
 
 // solveColumn is one right-hand side's outcome in a batched solve
@@ -471,12 +583,45 @@ type solveColumn struct {
 	Converged  bool      `json:"converged"`
 }
 
-// solveBatchResponse answers the batched request form (rhs array).
-type solveBatchResponse struct {
-	Key     string        `json:"key"`
-	Results []solveColumn `json:"results"`
-	Cached  bool          `json:"cached"`
-	Precond *precondInfo  `json:"precond,omitempty"`
+// solveBatchReply answers the batched request form (rhs array). Its
+// JSON keys, in order: key, results (one solveColumn object each),
+// cached, precond (omitted when nil).
+type solveBatchReply struct {
+	Key     string
+	Results []solveColumn
+	Cached  bool
+	Precond *precondInfo
+}
+
+func (r *solveBatchReply) appendJSON(e *wire.Encoder) {
+	e.Raw(`{"key":`)
+	e.String(r.Key)
+	e.Raw(`,"results":`)
+	if r.Results == nil {
+		e.Raw(`null`)
+	} else {
+		e.Raw(`[`)
+		for i := range r.Results {
+			c := &r.Results[i]
+			if i > 0 {
+				e.Raw(`,`)
+			}
+			e.Raw(`{"x":`)
+			e.Floats(c.X)
+			e.Raw(`,"iterations":`)
+			e.Int(c.Iterations)
+			e.Raw(`,"relres":`)
+			e.Float(c.RelRes)
+			e.Raw(`,"converged":`)
+			e.Bool(c.Converged)
+			e.Raw(`}`)
+		}
+		e.Raw(`]`)
+	}
+	e.Raw(`,"cached":`)
+	e.Bool(r.Cached)
+	appendInfo(e, nil, r.Precond)
+	e.Raw(`}`)
 }
 
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -491,9 +636,9 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	var req solveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding JSON body: %w", err))
+	var req solveBody
+	if err := readJSON(w, r, req.member); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.B) > 0 && len(req.Rhs) > 0 {
@@ -566,7 +711,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		for i, r := range results {
 			cols[i] = solveColumn{X: r.X, Iterations: r.Iterations, RelRes: r.RelRes, Converged: r.Converged}
 		}
-		writeJSON(w, http.StatusOK, solveBatchResponse{
+		writeJSON(w, http.StatusOK, &solveBatchReply{
 			Key:     art.Key,
 			Results: cols,
 			Cached:  cached,
@@ -580,7 +725,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, solveResponse{
+	writeJSON(w, http.StatusOK, &solveReply{
 		Key:        art.Key,
 		X:          res.X,
 		Iterations: res.Iterations,
@@ -591,21 +736,43 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type partitionRequest struct {
+// partitionBody is the JSON form of a /v2/partition request.
+type partitionBody struct {
 	// Key references an artifact from a previous /v2/sparsify response;
 	// alternatively pass the graph inline.
-	Key   string        `json:"key,omitempty"`
-	Graph *graphPayload `json:"graph,omitempty"`
+	Key   string
+	Graph *graphBody
 }
 
-type partitionResponse struct {
-	Key       string `json:"key"`
-	Partition []int  `json:"partition"`
+func (b *partitionBody) member(d *wire.Decoder, key []byte) error {
+	switch {
+	case wire.Key(key, "key"):
+		return d.String(&b.Key)
+	case wire.Key(key, "graph"):
+		return wire.Pointer(d, &b.Graph, (*graphBody).member)
+	}
+	return d.Skip()
+}
+
+// partitionReply answers /v2/partition: {"key":…,"partition":[…]}.
+type partitionReply struct {
+	Key       string
+	Partition []int
+}
+
+func (r *partitionReply) appendJSON(e *wire.Encoder) {
+	e.Raw(`{"key":`)
+	e.String(r.Key)
+	e.Raw(`,"partition":`)
+	e.Ints(r.Partition)
+	e.Raw(`}`)
 }
 
 // handlePartition serves the paper's §4.3 application — a balanced
 // spectral bipartition via the sparsifier-preconditioned Fiedler vector —
-// through the same cached artifacts the solve path uses.
+// through the same cached artifacts the solve path uses. An inline graph
+// is built with the same per-request overrides as /v2/sparsify and
+// /v2/solve (?method=, ?shards=, ?shard_threshold=, ?precond=).
 func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, err := requestCtx(r)
 	if err != nil {
@@ -613,9 +780,14 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	var req partitionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding JSON body: %w", err))
+	bo, err := buildOptsFrom(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	var req partitionBody
+	if err := readJSON(w, r, req.member); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	var art *engine.Artifact
@@ -633,7 +805,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if art, _, err = s.eng.Sparsify(ctx, g); err != nil {
+		if art, _, err = s.eng.SparsifyWith(ctx, g, bo); err != nil {
 			writeErr(w, statusOf(err), err)
 			return
 		}
@@ -646,7 +818,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, partitionResponse{Key: art.Key, Partition: part})
+	writeJSON(w, http.StatusOK, &partitionReply{Key: art.Key, Partition: part})
 }
 
 type statsResponse struct {
@@ -724,19 +896,33 @@ func statusOf(err error) int {
 	return status
 }
 
+// jsonAppender is a response with a hand-written encoder; writeJSON
+// renders every other value through json.Marshal.
+type jsonAppender interface {
+	appendJSON(e *wire.Encoder)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode before committing the status so an encoding failure (e.g. a
 	// NaN that slipped into a result) yields a clean 500 instead of a 200
 	// with a truncated body.
-	buf, err := json.Marshal(v)
-	if err != nil {
+	e := wire.NewEncoder()
+	defer e.Release()
+	if a, ok := v.(jsonAppender); ok {
+		a.appendJSON(e)
+	} else {
+		e.JSON(v)
+	}
+	if err := e.Err(); err != nil {
 		log.Printf("encoding response: %v", err)
 		status = http.StatusInternalServerError
-		buf = []byte(`{"error":"internal server error: unencodable response","code":"internal"}`)
+		e.Reset()
+		e.Raw(`{"error":"internal server error: unencodable response","code":"internal"}`)
 	}
+	e.Raw("\n")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(append(buf, '\n')); err != nil {
+	if _, err := w.Write(e.Bytes()); err != nil {
 		log.Printf("writing response: %v", err)
 	}
 }

@@ -103,9 +103,18 @@ func (s *server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		return
 	}
-	var req updateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding JSON body: %w", err))
+	// Validate ?timeout_ms= before the push: once Push accepts the delta
+	// it is applied, so a 400 after it would invite a client retry that
+	// applies the delta twice.
+	ctx, cancel, err := requestCtx(r)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	var req deltaBody
+	if err := readJSON(w, r, req.member); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	d, err := req.toDelta()
@@ -127,12 +136,6 @@ func (s *server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, streamPushResponse{Generation: gen, Pending: pending})
 		return
 	}
-	ctx, cancel, err := requestCtx(r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
 	art, err := st.Wait(ctx, gen)
 	if err != nil {
 		writeErr(w, statusOf(err), err)

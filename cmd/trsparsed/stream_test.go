@@ -212,3 +212,27 @@ func TestV2StreamErrorTaxonomy(t *testing.T) {
 		t.Fatalf("push after close: status %d code %q", resp.StatusCode, er.Code)
 	}
 }
+
+// TestStreamPushBadTimeoutAppliesNothing: a push whose ?timeout_ms= is
+// invalid is refused before the delta reaches the session, so the 400
+// does not invite a retry that would apply the delta twice.
+func TestStreamPushBadTimeoutAppliesNothing(t *testing.T) {
+	ts, key := streamTestServer(t, engine.Options{})
+	var open streamOpenResponse
+	if resp := postJSON(t, ts.URL+"/v2/stream", streamOpenRequest{BaseKey: key}, &open); resp.StatusCode != http.StatusOK {
+		t.Fatalf("open status %d", resp.StatusCode)
+	}
+	var before, after engine.StreamStats
+	doReq(t, http.MethodGet, ts.URL+"/v2/stream/"+open.ID, nil, &before)
+
+	var er errorResponse
+	if resp := postJSON(t, ts.URL+"/v2/stream/"+open.ID+"?wait=1&timeout_ms=abc", updateRequest{
+		Set: [][3]float64{{0, 1, 5}},
+	}, &er); resp.StatusCode != http.StatusBadRequest || er.Code != "invalid_request" {
+		t.Fatalf("bad timeout: status %d code %q, want 400 invalid_request", resp.StatusCode, er.Code)
+	}
+	doReq(t, http.MethodGet, ts.URL+"/v2/stream/"+open.ID, nil, &after)
+	if after.Pushes != before.Pushes || after.PendingPushes != 0 || after.PendingEdits != 0 || after.CurrentKey != before.CurrentKey {
+		t.Fatalf("refused push reached the session: before %+v, after %+v", before, after)
+	}
+}

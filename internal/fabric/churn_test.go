@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // startPeerWorker serves a peer-fetch-enabled worker with both fabric
@@ -155,7 +156,7 @@ func TestPeerFetchOnMembershipChurn(t *testing.T) {
 // payload, returning the decoded response.
 func postPayload(t *testing.T, url string, p *fabric.ClusterPayload) *fabric.ClusterResponse {
 	t.Helper()
-	body, err := json.Marshal(p)
+	body, err := p.AppendJSON(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,15 +179,11 @@ func postPayload(t *testing.T, url string, p *fabric.ClusterPayload) *fabric.Clu
 // metadata attached.
 func payloadFor(req *shard.ClusterRequest, epoch int64, prevOwner string) *fabric.ClusterPayload {
 	cl := req.Cluster
-	edges := make([][3]float64, cl.Local.M())
-	for i, e := range cl.Local.Edges {
-		edges[i] = [3]float64{float64(e.U), float64(e.V), e.W}
-	}
 	return &fabric.ClusterPayload{
 		Key:       req.Key,
 		N:         cl.Local.N,
 		Vertices:  cl.Vertices,
-		Edges:     edges,
+		Edges:     wire.Edges{List: cl.Local.Edges},
 		Opts:      fabric.WireOptions{Seed: req.Opts.Seed},
 		Epoch:     epoch,
 		PrevOwner: prevOwner,

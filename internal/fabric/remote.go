@@ -381,7 +381,7 @@ func (r *Remote) Dispatch(ctx context.Context, req *shard.ClusterRequest) (*shar
 		// owner where the entry lived so it can try one peer fetch.
 		p.PrevOwner = po
 	}
-	body, err := json.Marshal(p)
+	body, err := p.AppendJSON(nil)
 	if err != nil {
 		// A cluster payload is plain ints and floats; failing to encode
 		// one is a programming error, not a fleet problem.
@@ -501,7 +501,7 @@ func (r *Remote) DispatchFactor(ctx context.Context, req *precond.FactorRequest)
 		r.factorMisses.Add(1)
 		return nil, errors.New("fabric: no fleet workers up")
 	}
-	body, err := json.Marshal(&ClusterPayload{Key: req.Key, Factor: factorSpecOf(req.Sub)})
+	body, err := (&ClusterPayload{Key: req.Key, Factor: factorSpecOf(req.Sub)}).AppendJSON(nil)
 	if err != nil {
 		r.factorMisses.Add(1)
 		return nil, fmt.Errorf("fabric: encoding factor payload for cluster %d: %v", req.Cluster, err)

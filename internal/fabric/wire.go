@@ -9,6 +9,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/sparse"
 	"repro/internal/sparsify"
+	"repro/internal/wire"
 )
 
 // ClusterPayload is the POST /v2/cluster request body: one planned
@@ -18,19 +19,23 @@ import (
 // two requests with equal keys are guaranteed to produce identical
 // results, which is what makes worker caches safe across rebuilds and
 // coordinators.
+//
+// The payload travels through the wire codec (AppendJSON and
+// decodePayload), as a JSON object with the keys key, n, vertices,
+// edges (as [u, v, w] triples), opts, and — omitted when zero — epoch,
+// prev_owner and factor.
 type ClusterPayload struct {
 	// Key is the cluster fingerprint (shard.ClusterKey).
-	Key string `json:"key"`
+	Key string
 	// N is the local vertex count; Vertices the local→global map
 	// (len N).
-	N        int   `json:"n"`
-	Vertices []int `json:"vertices"`
-	// Edges are the cluster's local edges as [u, v, w] triples with
-	// local endpoints.
-	Edges [][3]float64 `json:"edges"`
+	N        int
+	Vertices []int
+	// Edges are the cluster's local edges.
+	Edges wire.Edges
 	// Opts is the per-cluster construction configuration (seed already
 	// derived coordinator-side; it is part of the fingerprint).
-	Opts WireOptions `json:"opts"`
+	Opts WireOptions
 	// Epoch is the coordinator's membership epoch at dispatch time, and
 	// PrevOwner the base URL of the worker that owned Key under the
 	// previous epoch (set only when membership changed and ownership
@@ -40,15 +45,77 @@ type ClusterPayload struct {
 	// the fetched entry against this payload's own cluster edges, so
 	// stale epoch information can cost one wasted round trip but never
 	// serve a wrong-key result.
-	Epoch     int64  `json:"epoch,omitempty"`
-	PrevOwner string `json:"prev_owner,omitempty"`
+	Epoch     int64
+	PrevOwner string
 	// Factor, when non-nil, makes this a factorization job instead of a
 	// cluster build: the worker runs the deterministic sparse Cholesky on
 	// the shipped block and returns the serialized factor. Factor jobs
 	// carry no cluster section (N = 0, no edges) — the block already
 	// includes the overlap rows, which are assembled from the stitched
 	// global pencil that only the coordinator holds.
-	Factor *FactorSpec `json:"factor,omitempty"`
+	Factor *FactorSpec
+}
+
+// AppendJSON appends the payload's JSON encoding to b. It fails on a
+// non-finite float: an edge weight, or one in the opts or factor blocks,
+// which go through encoding/json.
+func (p *ClusterPayload) AppendJSON(b []byte) ([]byte, error) {
+	e := wire.NewEncoder()
+	defer e.Release()
+	e.Raw(`{"key":`)
+	e.String(p.Key)
+	e.Raw(`,"n":`)
+	e.Int(p.N)
+	e.Raw(`,"vertices":`)
+	e.Ints(p.Vertices)
+	e.Raw(`,"edges":`)
+	e.Edges(p.Edges.List)
+	e.Raw(`,"opts":`)
+	e.JSON(p.Opts)
+	if p.Epoch != 0 {
+		e.Raw(`,"epoch":`)
+		e.Int(int(p.Epoch))
+	}
+	if p.PrevOwner != "" {
+		e.Raw(`,"prev_owner":`)
+		e.String(p.PrevOwner)
+	}
+	if p.Factor != nil {
+		e.Raw(`,"factor":`)
+		e.JSON(p.Factor)
+	}
+	e.Raw(`}`)
+	if err := e.Err(); err != nil {
+		return b, err
+	}
+	return append(b, e.Bytes()...), nil
+}
+
+// decodePayload decodes a POST /v2/cluster body into p. Opts and Factor
+// stay on encoding/json.
+func decodePayload(data []byte, p *ClusterPayload) error {
+	d := wire.NewDecoder(data)
+	return d.Decode(func(key []byte) error {
+		switch {
+		case wire.Key(key, "key"):
+			return d.String(&p.Key)
+		case wire.Key(key, "n"):
+			return d.Int(&p.N)
+		case wire.Key(key, "vertices"):
+			return d.Ints(&p.Vertices)
+		case wire.Key(key, "edges"):
+			return d.Edges(&p.Edges, 3)
+		case wire.Key(key, "opts"):
+			return d.JSON(&p.Opts)
+		case wire.Key(key, "epoch"):
+			return d.Int64(&p.Epoch)
+		case wire.Key(key, "prev_owner"):
+			return d.String(&p.PrevOwner)
+		case wire.Key(key, "factor"):
+			return d.JSON(&p.Factor)
+		}
+		return d.Skip()
+	})
 }
 
 // FactorSpec is the SPD block of one remote factorization job: the
@@ -179,15 +246,11 @@ func (wo WireOptions) sparsifyOptions() sparsify.Options {
 // payloadOf encodes one dispatcher request as its wire payload.
 func payloadOf(req *shard.ClusterRequest) *ClusterPayload {
 	cl := req.Cluster
-	edges := make([][3]float64, cl.Local.M())
-	for i, e := range cl.Local.Edges {
-		edges[i] = [3]float64{float64(e.U), float64(e.V), e.W}
-	}
 	return &ClusterPayload{
 		Key:      req.Key,
 		N:        cl.Local.N,
 		Vertices: cl.Vertices,
-		Edges:    edges,
+		Edges:    wire.Edges{List: cl.Local.Edges},
 		Opts:     wireOptions(req.Opts),
 	}
 }
@@ -203,17 +266,13 @@ func (p *ClusterPayload) clusterRequest() (*shard.ClusterRequest, error) {
 	if len(p.Vertices) != p.N {
 		return nil, fmt.Errorf("vertex map covers %d vertices, n=%d", len(p.Vertices), p.N)
 	}
-	if p.N > len(p.Edges)+1 {
-		return nil, fmt.Errorf("n=%d cannot be connected by %d edges", p.N, len(p.Edges))
+	if p.N > len(p.Edges.List)+1 {
+		return nil, fmt.Errorf("n=%d cannot be connected by %d edges", p.N, len(p.Edges.List))
 	}
-	edges := make([]graph.Edge, len(p.Edges))
-	for i, e := range p.Edges {
-		if e[0] != math.Trunc(e[0]) || e[1] != math.Trunc(e[1]) {
-			return nil, fmt.Errorf("edge %d has non-integer endpoints [%g, %g]", i, e[0], e[1])
-		}
-		edges[i] = graph.Edge{U: int(e[0]), V: int(e[1]), W: e[2]}
+	if err := p.Edges.Check("edge"); err != nil {
+		return nil, err
 	}
-	g, err := graph.New(p.N, edges)
+	g, err := graph.New(p.N, p.Edges.List)
 	if err != nil {
 		return nil, err
 	}
@@ -248,6 +307,35 @@ type ClusterResponse struct {
 	// when no fetch was attempted. The coordinator folds these into its
 	// fleet telemetry.
 	PeerFetch string `json:"peer_fetch,omitempty"`
+}
+
+// appendJSON renders the response as json.Marshal renders the struct,
+// with the edge pairs through the wire encoder.
+func (cr *ClusterResponse) appendJSON(e *wire.Encoder) {
+	e.Raw(`{`)
+	if len(cr.Edges) > 0 {
+		e.Raw(`"edges":`)
+		e.Pairs(cr.Edges)
+		e.Raw(`,`)
+	}
+	e.Raw(`"stats":`)
+	e.JSON(cr.Stats)
+	if cr.Cached {
+		e.Raw(`,"cached":true`)
+	}
+	if cr.Key != "" {
+		e.Raw(`,"key":`)
+		e.String(cr.Key)
+	}
+	if cr.Factor != nil {
+		e.Raw(`,"factor":`)
+		e.JSON(cr.Factor)
+	}
+	if cr.PeerFetch != "" {
+		e.Raw(`,"peer_fetch":`)
+		e.String(cr.PeerFetch)
+	}
+	e.Raw(`}`)
 }
 
 // errorResponse mirrors the serving layer's structured error shape.

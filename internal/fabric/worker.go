@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/chol"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // maxClusterBody caps worker request bodies — one cluster, not a whole
@@ -127,7 +128,7 @@ func (w *Worker) Stats() WorkerStatsSnapshot {
 // result.
 func (w *Worker) ServeCluster(rw http.ResponseWriter, r *http.Request) {
 	var p ClusterPayload
-	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxClusterBody)).Decode(&p); err != nil {
+	if err := readPayload(rw, r, &p); err != nil {
 		w.failures.Add(1)
 		writeWorkerErr(rw, http.StatusBadRequest, "invalid_request", fmt.Errorf("decoding cluster payload: %w", err))
 		return
@@ -282,15 +283,34 @@ func (w *Worker) ServeClusterGet(rw http.ResponseWriter, r *http.Request) {
 	writeWorkerJSON(rw, http.StatusOK, ClusterResponse{Edges: pairs, Cached: true, Key: key})
 }
 
-func writeWorkerJSON(rw http.ResponseWriter, status int, v any) {
-	buf, err := json.Marshal(v)
+// readPayload reads a POST /v2/cluster body (at most maxClusterBody)
+// into a pooled buffer and decodes it.
+func readPayload(rw http.ResponseWriter, r *http.Request, p *ClusterPayload) error {
+	body, err := wire.ReadBody(http.MaxBytesReader(rw, r.Body, maxClusterBody), r.ContentLength, maxClusterBody)
 	if err != nil {
-		status = http.StatusInternalServerError
-		buf = []byte(`{"error":"unencodable response","code":"internal"}`)
+		return err
 	}
+	defer body.Release()
+	return decodePayload(body.B, p)
+}
+
+func writeWorkerJSON(rw http.ResponseWriter, status int, v any) {
+	e := wire.NewEncoder()
+	defer e.Release()
+	if cr, ok := v.(ClusterResponse); ok {
+		cr.appendJSON(e)
+	} else {
+		e.JSON(v)
+	}
+	if e.Err() != nil {
+		status = http.StatusInternalServerError
+		e.Reset()
+		e.Raw(`{"error":"unencodable response","code":"internal"}`)
+	}
+	e.Raw("\n")
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
-	rw.Write(append(buf, '\n'))
+	rw.Write(e.Bytes())
 }
 
 func writeWorkerErr(rw http.ResponseWriter, status int, code string, err error) {

@@ -19,12 +19,24 @@ import (
 // Mixed-sign off-diagonals are rejected. This is the bridge for running the
 // benchmark harness on the real ecology2/thermal2/… matrices when they are
 // available locally.
+//
+// A graph with more vertices than its edges can connect (n > m+1) is
+// rejected, as the service's JSON graphs are: the reader's header bound
+// counts matrix entries, diagonal ones included, so without this check a
+// file of diagonal entries alone would pass it.
 func ReadMatrixMarketGraph(r io.Reader) (*Graph, error) {
 	a, err := sparse.ReadMatrixMarket(r)
 	if err != nil {
 		return nil, err
 	}
-	return GraphFromMatrix(a)
+	g, err := GraphFromMatrix(a)
+	if err != nil {
+		return nil, err
+	}
+	if g.N > g.M()+1 {
+		return nil, fmt.Errorf("trsparse: %d vertices cannot be connected by %d edges", g.N, g.M())
+	}
+	return g, nil
 }
 
 // WriteMatrixMarketGraph writes g as a Matrix Market file in the

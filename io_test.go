@@ -210,3 +210,35 @@ func TestWriteReadMatrixMarketGraphRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadMatrixMarketGraph: the /v2/sparsify Matrix Market reader never
+// panics, and whatever it accepts is a graph its edges can connect
+// (n ≤ m+1) whose edge list graph.New accepts as is.
+func FuzzReadMatrixMarketGraph(f *testing.F) {
+	for _, s := range []string{
+		"%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n1 1 2\n2 1 -1\n3 2 -1\n2 2 2\n3 3 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5\n2 1 1.5\n",
+		"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n",
+		"%%MatrixMarket matrix coordinate integer skew-symmetric\n2 2 1\n2 1 3\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n% comment\n\n3 3 3\n1 1 1\n2 2 1\n3 3 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 1\n1 2 1.0\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 -1\n2 1 1\n",
+		"%%MatrixMarket matrix array real general\n1 1\n1\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1e400\n",
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadMatrixMarketGraph(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if g.N > g.M()+1 {
+			t.Fatalf("accepted n=%d with only %d edges", g.N, g.M())
+		}
+		if _, err := NewGraph(g.N, g.Edges); err != nil {
+			t.Fatalf("accepted edges graph.New rejects: %v", err)
+		}
+	})
+}
