@@ -155,8 +155,8 @@ func BenchmarkSolveThroughput(b *testing.B) {
 // dispatches the per-cluster Schwarz factorizations to the same workers
 // (-remote-factors). All three produce the bit-identical artifact — the
 // pcg-iters metric proves it on a shared right-hand side — so the legs
-// measure pure orchestration cost: wire codec, dispatch scheduling, and
-// the streamed-results overlap against the in-process baseline.
+// measure pure orchestration cost — wire codec and dispatch scheduling —
+// against the in-process baseline.
 func BenchmarkFleetFactorBuild(b *testing.B) {
 	ctx := context.Background()
 	g := gen.Grid2D(600, 600, 1)

@@ -172,10 +172,11 @@ func TestV2StreamErrorTaxonomy(t *testing.T) {
 
 	// Bad deltas: 400 bad_delta, session unharmed.
 	for i, req := range []updateRequest{
-		{Set: [][3]float64{{0, 0, 1}}},      // self-loop
-		{Set: [][3]float64{{0, 999999, 1}}}, // out of range
-		{Set: [][3]float64{{0, 1, -2}}},     // non-positive weight
-		{Remove: [][2]float64{{0, 99}}},     // absent edge
+		{Set: [][3]float64{{0, 0, 1}}},         // self-loop
+		{Set: [][3]float64{{0, 999999, 1}}},    // out of range
+		{Set: [][3]float64{{0, 1, -2}}},        // non-positive weight
+		{Remove: [][2]float64{{0, 99}}},        // absent edge
+		{Remove: [][2]float64{{0, 1}, {1, 0}}}, // one edge removed twice
 	} {
 		if resp := postJSON(t, ts.URL+"/v2/stream/"+open.ID, req, &er); resp.StatusCode != http.StatusBadRequest || er.Code != "bad_delta" {
 			t.Fatalf("bad delta %d: status %d code %q", i, resp.StatusCode, er.Code)

@@ -147,10 +147,11 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	for _, sb := range st.PerShard {
 		baseEdges = append(baseEdges, sb.Edges)
 	}
-	res, err := shard.SparsifyIncremental(ctx, newG, st.Assign, shard.Options{
+	res, err := shard.Sparsify(ctx, newG, shard.Options{
 		Shards:           cfg.Shards,
 		Threshold:        cfg.ShardThreshold,
 		RebalanceFactor:  cfg.Rebalance,
+		BaseAssign:       st.Assign,
 		BaseClusterEdges: baseEdges,
 		Sparsify:         cfg.Sparsify,
 		Cache:            hc,
@@ -363,8 +364,8 @@ type factorEntry struct {
 // artifacts: cluster sparsifier edge sets recovered from the stitched
 // subgraph (intra-cluster edges partition exactly into the per-cluster
 // results) and Schwarz factors lifted from the base preconditioner. Reads
-// check the seeded maps first and fall through to the shared caches;
-// writes go to both, so the engine's store learns the rebuilt clusters.
+// check the shared caches first and fall back to the seeded maps; writes
+// go to both, so the engine's store learns the rebuilt clusters.
 type handleCache struct {
 	mu       sync.Mutex
 	clusters map[string][][2]int

@@ -32,7 +32,8 @@ var ErrStreamClosed = errors.New("engine: stream closed")
 var ErrStreamLimit = errors.New("engine: stream session limit reached")
 
 // ErrBadDelta wraps push-time validation failures — endpoints out of
-// range, self-loops, non-positive weights, removals of absent edges —
+// range, self-loops, non-positive or non-finite weights, removals of
+// absent edges or of one edge twice —
 // which are the client's delta, not the engine's state. Servers map it
 // to 400.
 var ErrBadDelta = errors.New("engine: bad stream delta")
@@ -253,7 +254,8 @@ func (s *Stream) Push(d graph.Delta) (int64, error) {
 
 	// Validate against current state + pending edits BEFORE mutating, so
 	// a bad delta rejects atomically. Semantics mirror graph.Delta.Apply:
-	// removals of absent edges and non-positive weights are errors.
+	// removals of absent edges, removing one edge twice, and weights that
+	// fail graph.ValidWeight are errors.
 	n := s.curG.N
 	exists := func(u, v int) bool {
 		if s.setW[[2]int{u, v}] > 0 {
@@ -270,6 +272,7 @@ func (s *Stream) Push(d graph.Delta) (int64, error) {
 		inCur bool
 	}
 	rms := make([]rm, 0, len(d.Remove))
+	removing := make(map[[2]int]bool, len(d.Remove))
 	for _, r := range d.Remove {
 		u, v := normPair(r[0], r[1])
 		if u < 0 || v >= n || u == v {
@@ -278,6 +281,10 @@ func (s *Stream) Push(d graph.Delta) (int64, error) {
 		if !exists(u, v) {
 			return 0, fmt.Errorf("%w: remove (%d,%d): edge does not exist", ErrBadDelta, r[0], r[1])
 		}
+		if removing[[2]int{u, v}] {
+			return 0, fmt.Errorf("%w: removes edge (%d,%d) twice", ErrBadDelta, r[0], r[1])
+		}
+		removing[[2]int{u, v}] = true
 		_, inCur := s.curG.EdgeBetween(u, v)
 		rms = append(rms, rm{key: [2]int{u, v}, inCur: inCur})
 	}
@@ -286,8 +293,8 @@ func (s *Stream) Push(d graph.Delta) (int64, error) {
 		if u < 0 || v >= n || u == v {
 			return 0, fmt.Errorf("%w: set (%d,%d): invalid endpoints for %d vertices", ErrBadDelta, ed.U, ed.V, n)
 		}
-		if ed.W <= 0 {
-			return 0, fmt.Errorf("%w: set (%d,%d): non-positive weight %g", ErrBadDelta, ed.U, ed.V, ed.W)
+		if !graph.ValidWeight(ed.W) {
+			return 0, fmt.Errorf("%w: set (%d,%d): invalid weight %g", ErrBadDelta, ed.U, ed.V, ed.W)
 		}
 	}
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -332,5 +333,42 @@ func TestStreamChained(t *testing.T) {
 	}
 	if ss := s.Stats(); ss.Updates < int64(len(chain)) && ss.Coalesced == 0 {
 		t.Fatalf("accounting: %d updates, %d coalesced for %d pushes", ss.Updates, ss.Coalesced, ss.Pushes)
+	}
+}
+
+// TestDeltaWeightAndRemovalValidation: Engine.Update and Stream.Push both
+// refuse NaN and ±Inf weights, and Push refuses a delta that removes one
+// edge twice (in either endpoint order), as graph.Delta.ApplyPatch does.
+// Every refused push leaves the session's pending state unchanged.
+func TestDeltaWeightAndRemovalValidation(t *testing.T) {
+	ctx := context.Background()
+	e, base, _ := streamFixture(t, Options{})
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, w := range bad {
+		if _, _, err := e.Update(ctx, base.Key, graph.Delta{Set: []graph.Edge{{U: 0, V: 1, W: w}}}); err == nil {
+			t.Errorf("Engine.Update accepted weight %g", w)
+		}
+	}
+
+	s, err := e.StreamOpen(base.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	for _, w := range bad {
+		if _, err := s.Push(graph.Delta{Set: []graph.Edge{{U: 0, V: 1, W: w}}}); !errors.Is(err, ErrBadDelta) {
+			t.Errorf("Push of weight %g: err = %v, want ErrBadDelta", w, err)
+		}
+	}
+	if _, err := s.Push(graph.Delta{Remove: [][2]int{{0, 1}, {1, 0}}}); !errors.Is(err, ErrBadDelta) {
+		t.Errorf("Push removing (0,1) twice: err = %v, want ErrBadDelta", err)
+	}
+	s.mu.Lock()
+	pending := len(s.setW) + len(s.removes)
+	s.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("refused pushes left %d pending edits", pending)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -151,10 +150,9 @@ func (m *member) noteFailure(err error, failAfter int, probeAfter time.Duration)
 // to workers over HTTP/JSON with rendezvous-hashed placement on the
 // cluster fingerprint, per-attempt deadlines, bounded retries with
 // backoff, hedged dispatch for stragglers, and graceful degradation to
-// the in-process fallback. It also implements shard.StreamDispatcher
-// (results delivered in completion order while stragglers are in flight)
-// and precond.FactorDispatcher (remote Schwarz factor builds over the
-// same wire, placement, and retry machinery). Safe for concurrent use.
+// the in-process fallback. It also implements precond.FactorDispatcher
+// (remote Schwarz factor builds over the same wire, placement, and retry
+// machinery). Safe for concurrent use.
 type Remote struct {
 	opts Options
 
@@ -177,13 +175,6 @@ type Remote struct {
 	peerFetches   atomic.Int64
 	peerHits      atomic.Int64
 	latency       tdigest.Recorder
-
-	// Stream telemetry: the most recent DispatchStream's first/last
-	// result latencies, and the cumulative stitch time consumers report
-	// as hidden inside the build window (NoteOverlapSaved).
-	streamFirstNS atomic.Int64
-	streamLastNS  atomic.Int64
-	overlapNS     atomic.Int64
 }
 
 // NewRemote creates a dispatcher over the given worker base URLs
@@ -258,9 +249,6 @@ func (r *Remote) Stats() *Stats {
 	r.epochMu.Lock()
 	s.MembershipEpoch = r.epoch
 	r.epochMu.Unlock()
-	s.StreamFirstResultMS = float64(r.streamFirstNS.Load()) / float64(time.Millisecond)
-	s.StreamLastResultMS = float64(r.streamLastNS.Load()) / float64(time.Millisecond)
-	s.StreamOverlapSavedMS = float64(r.overlapNS.Load()) / float64(time.Millisecond)
 	r.memMu.RLock()
 	members := r.members
 	r.memMu.RUnlock()
@@ -429,63 +417,6 @@ func (r *Remote) Dispatch(ctx context.Context, req *shard.ClusterRequest) (*shar
 		return nil, fmt.Errorf("fabric: fleet failed (%v) and local fallback failed: %w", lastErr, ferr)
 	}
 	return res, nil
-}
-
-// DispatchStream implements shard.StreamDispatcher: every request runs
-// through the full Dispatch machinery (placement, retries, hedging,
-// fallback) with at most limit in flight, and outcomes land on the
-// returned channel in completion order. The channel is buffered to
-// len(reqs), so producers never block on a slow consumer and a canceled
-// stream drains without leaking goroutines: cancellation makes the
-// remaining Dispatch calls return promptly with ctx.Err(), each still
-// producing its Streamed.
-func (r *Remote) DispatchStream(ctx context.Context, reqs []*shard.ClusterRequest, limit int) <-chan shard.Streamed {
-	out := make(chan shard.Streamed, len(reqs))
-	if len(reqs) == 0 {
-		close(out)
-		return out
-	}
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if limit > len(reqs) {
-		limit = len(reqs)
-	}
-	start := time.Now()
-	var firstOnce sync.Once
-	var pos atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < limit; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(pos.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				res, err := r.Dispatch(ctx, reqs[i])
-				firstOnce.Do(func() { r.streamFirstNS.Store(int64(time.Since(start))) })
-				out <- shard.Streamed{Req: reqs[i], Res: res, Err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		r.streamLastNS.Store(int64(time.Since(start)))
-		close(out)
-	}()
-	return out
-}
-
-// NoteOverlapSaved accumulates stitch time a streaming consumer measured
-// as overlapped with in-flight cluster builds — work the barrier path
-// would have serialized after the slowest cluster. shard.Run reports it
-// per streamed build; Stats surfaces the running total.
-func (r *Remote) NoteOverlapSaved(d time.Duration) {
-	if d > 0 {
-		r.overlapNS.Add(int64(d))
-	}
 }
 
 // DispatchFactor implements precond.FactorDispatcher: ship a cluster's

@@ -56,14 +56,6 @@ type Stats struct {
 	PeerFetches     int64 `json:"peer_fetches"`
 	PeerHits        int64 `json:"peer_hits"`
 	MembershipEpoch int64 `json:"membership_epoch"`
-	// StreamFirstResultMS / StreamLastResultMS are the most recent
-	// streamed dispatch's first- and last-result latencies;
-	// StreamOverlapSavedMS is the cumulative stitch time streamed builds
-	// overlapped with in-flight cluster builds (work the barrier path
-	// would have serialized after the slowest cluster).
-	StreamFirstResultMS  float64 `json:"stream_first_result_ms"`
-	StreamLastResultMS   float64 `json:"stream_last_result_ms"`
-	StreamOverlapSavedMS float64 `json:"stream_overlap_saved_ms"`
 
 	MeanLatencyMS float64 `json:"remote_mean_latency_ms"`
 	P50LatencyUS  float64 `json:"remote_p50_latency_us"`

@@ -13,7 +13,8 @@ import (
 // sparsifiers and factors can be reused.
 type Delta struct {
 	// Set lists edges to add (when absent) or reweight (when present).
-	// Endpoints are normalized like New's input; weights must be positive.
+	// Endpoints are normalized like New's input; weights must pass
+	// ValidWeight (positive and finite).
 	Set []Edge
 	// Remove lists edges to delete, as endpoint pairs. Removing an edge
 	// that is not present is an error (it usually means the caller's view
@@ -136,7 +137,7 @@ func (d Delta) ApplyPatch(g *Graph) (*Patch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.W <= 0 {
+		if !ValidWeight(e.W) {
 			return nil, fmt.Errorf("graph: delta sets edge (%d,%d) to invalid weight %g", e.U, e.V, e.W)
 		}
 		if idx, ok := g.EdgeBetween(k[0], k[1]); ok && (dropped == nil || !dropped[idx]) {
@@ -148,7 +149,6 @@ func (d Delta) ApplyPatch(g *Graph) (*Patch, error) {
 				reseen[idx] = struct{}{}
 				p.Reweighted = append(p.Reweighted, idx)
 			}
-			touch(k[0], k[1])
 			continue
 		}
 		if prev, ok := at[k]; ok {
@@ -159,6 +159,18 @@ func (d Delta) ApplyPatch(g *Graph) (*Patch, error) {
 		added = append(added, Edge{U: k[0], V: k[1], W: e.W})
 		touch(k[0], k[1])
 	}
+
+	// A reweight counts only if the final weight differs from the base:
+	// setting an edge and then setting it back is no edit, and leaving it
+	// out keeps the dirty set tight.
+	kept := p.Reweighted[:0]
+	for _, idx := range p.Reweighted {
+		if ed := g.Edges[idx]; edges[idx].W != ed.W {
+			kept = append(kept, idx)
+			touch(ed.U, ed.V)
+		}
+	}
+	p.Reweighted = kept
 
 	p.Touched = make([]int, 0, len(touched))
 	for v := range touched {

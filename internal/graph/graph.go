@@ -43,7 +43,8 @@ type Graph struct {
 const dedupSortThreshold = 4096
 
 // New builds a graph from an edge list. Self loops are rejected; duplicate
-// edges are merged by summing weights; non-positive weights are rejected.
+// edges are merged by summing weights; weights failing ValidWeight are
+// rejected.
 // For inputs above dedupSortThreshold edges, the merged edge list is in
 // sorted (U, V) order rather than first-occurrence order; callers must
 // not rely on either ordering.
@@ -63,6 +64,11 @@ func New(n int, edges []Edge) (*Graph, error) {
 	return g, nil
 }
 
+// ValidWeight reports whether w is a usable edge weight: positive and
+// finite (NaN and ±Inf fail). New, Delta.ApplyPatch and the engine's
+// stream validation all apply this one rule.
+func ValidWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
+
 // normalize validates every edge and returns a copy with U ≤ V.
 func normalize(n int, edges []Edge) ([]Edge, error) {
 	norm := make([]Edge, len(edges))
@@ -73,7 +79,7 @@ func normalize(n int, edges []Edge) ([]Edge, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self loop at vertex %d", e.U)
 		}
-		if e.W <= 0 || math.IsNaN(e.W) || math.IsInf(e.W, 0) {
+		if !ValidWeight(e.W) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) has invalid weight %g", e.U, e.V, e.W)
 		}
 		if e.U > e.V {

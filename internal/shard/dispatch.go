@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/sparsify"
 )
@@ -59,42 +58,6 @@ type ClusterResult struct {
 // from its bounded worker pool.
 type Dispatcher interface {
 	Dispatch(ctx context.Context, req *ClusterRequest) (*ClusterResult, error)
-}
-
-// Streamed is one cluster outcome as it lands on a DispatchStream
-// channel: the originating request plus either its result or the error
-// that ended it (after the dispatcher's own retries and fallback).
-// Exactly one of Res and Err is set.
-type Streamed struct {
-	Req *ClusterRequest
-	Res *ClusterResult
-	Err error
-}
-
-// StreamDispatcher is the optional streaming extension of Dispatcher:
-// DispatchStream executes every request with at most limit in flight
-// (limit ≤ 0 selects the dispatcher's own default) and delivers outcomes
-// over the returned channel in completion order — not request order — so
-// the consumer can start folding results in while stragglers (and their
-// hedges) are still running. The channel is closed after every request
-// has produced exactly one Streamed, including when ctx is canceled
-// (remaining requests then drain with Err = ctx.Err()); the consumer
-// must drain it to completion.
-//
-// Run uses this interface when the configured Dispatcher implements it,
-// overlapping the stitch's cut-forest accumulation with the in-flight
-// cluster builds instead of idling at a collection barrier.
-type StreamDispatcher interface {
-	Dispatcher
-	DispatchStream(ctx context.Context, reqs []*ClusterRequest, limit int) <-chan Streamed
-}
-
-// OverlapObserver is the optional telemetry seam of a streaming
-// dispatcher: after a streamed build, Run reports how much stitch time
-// ran overlapped with the in-flight cluster builds (fabric.Remote folds
-// it into its fleet stats).
-type OverlapObserver interface {
-	NoteOverlapSaved(d time.Duration)
 }
 
 // BuildCluster executes one cluster request in-process: run the

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,13 +8,13 @@ import (
 	"repro/internal/sparsify"
 )
 
-// DefaultRebalanceFactor is the incremental balance guard's ceiling when
+// DefaultRebalanceFactor is the retained plan's balance-guard ceiling when
 // Options.RebalanceFactor is unset: a retained cluster holding more than
 // this multiple of its fair edge share (M/K) forces a fresh plan.
 const DefaultRebalanceFactor = 4.0
 
 // PlanFromAssign rebuilds a Plan for g from a retained per-vertex cluster
-// assignment — the incremental path's replacement for the recursive
+// assignment — the plan-reuse replacement for the recursive
 // bisection. Clusters that a delta disconnected are split into their
 // components (exactly the repair a fresh plan gets), so every returned
 // cluster is connected; on an assignment whose clusters are all still
@@ -113,123 +112,73 @@ func PlanFromAssignReweight(g *graph.Graph, assign, dirtyVertices []int) (*Plan,
 	return p, nil
 }
 
-// SparsifyIncremental is the delta-rebuild counterpart of Sparsify: it
-// reuses a retained plan assignment instead of replanning, so clusters a
-// delta did not touch keep their fingerprints and hit Options.Cache —
-// only dirty clusters re-run Algorithm 2; the stitch (cut forest +
-// global recovery round) is always redone against the new graph.
-//
-// Two guards protect the reuse from going stale:
-//
-//   - rebalance: a delta that grew any retained cluster past
-//     RebalanceFactor × (M/K) local edges abandons the stale plan for a
-//     fresh Sparsify (bounded per-cluster work is the point of sharding);
-//   - expander: the same MaxCutFraction ceiling as Sparsify, re-checked
-//     against the new graph's cut, falling back to a monolithic build.
-//
-// The result's ShardStats carries Incremental plus the ClustersReused
-// count, so callers can report how much of the rebuild was avoided.
-func SparsifyIncremental(ctx context.Context, g *graph.Graph, assign []int, opts Options) (*sparsify.Result, error) {
-	plan, err := planForIncremental(g, assign, opts)
+// retainedPlan rebuilds the plan from opts.BaseAssign and decides, once,
+// whether clean clusters adopt their base sparsifier edges by index. That
+// takes a reweight-only delta whose base edges resolve in g
+// (Localize.IndexAligned), base keys aligned with the plan, and a method
+// whose cluster results are adoptable (not ER). Then the plan is the lazy
+// PlanFromAssignReweight — clean clusters' local subgraphs are never
+// read — and carries each clean cluster's adoption list for Run.
+// Otherwise it is the full PlanFromAssign, and every cluster goes
+// through fingerprinting and the cache.
+func retainedPlan(g *graph.Graph, opts Options) (*Plan, error) {
+	loc := opts.Localize
+	if loc == nil || loc.BaseSub == nil || !loc.IndexAligned ||
+		len(loc.BaseEdgeIdx) == 0 || opts.Sparsify.Method == sparsify.ER {
+		return PlanFromAssign(g, opts.BaseAssign)
+	}
+	for _, ei := range loc.BaseEdgeIdx {
+		if ei < 0 || ei >= g.M() {
+			return PlanFromAssign(g, opts.BaseAssign)
+		}
+	}
+	p, err := PlanFromAssignReweight(g, opts.BaseAssign, loc.DirtyVertices)
 	if err != nil {
 		return nil, err
 	}
+	if len(loc.BaseKeys) != p.K {
+		// Key misalignment: adoption cannot engage, and the lazy plan's
+		// unmaterialized clean clusters would be read. Rebuild fully.
+		return PlanFromAssign(g, opts.BaseAssign)
+	}
+	dirty := loc.dirtyClusters(p)
+	p.adopt = make([][]int, p.K)
+	for _, ei := range loc.BaseEdgeIdx {
+		ed := g.Edges[ei]
+		if cu := p.Assign[ed.U]; cu == p.Assign[ed.V] && !dirty[cu] {
+			p.adopt[cu] = append(p.adopt[cu], ei)
+		}
+	}
+	p.baseKeys = loc.BaseKeys
+	return p, nil
+}
 
+// outgrown is the rebalance guard on a retained plan: true when a delta
+// grew any cluster past RebalanceFactor × (M/K) local edges, or past that
+// multiple of its own base-build size (BaseClusterEdges).
+func outgrown(g *graph.Graph, plan *Plan, opts Options) bool {
 	rf := opts.RebalanceFactor
 	if rf == 0 {
 		rf = DefaultRebalanceFactor
 	}
-	if rf > 0 && plan.K > 1 {
-		fair := float64(g.M()) / float64(plan.K)
-		for ci := range plan.Clusters {
-			m := float64(plan.Clusters[ci].LocalEdges())
-			grown := m > rf*fair
-			// The fair-share bound alone cannot trip when K ≤ rf (no
-			// cluster can hold more than K× the average), so also compare
-			// against the cluster's own base-build size when the caller
-			// provided it; the tiny floor keeps noise on near-empty
-			// clusters from forcing replans.
-			if !grown && ci < len(opts.BaseClusterEdges) && opts.BaseClusterEdges[ci] > tinyClusterEdges {
-				grown = m > rf*float64(opts.BaseClusterEdges[ci])
-			}
-			if grown {
-				// Fresh plan, full build: deliberately NOT marked
-				// Incremental — callers and operators read that flag as
-				// "a prior plan was reused", and a rebalance replan pays
-				// cold-build cost. The localized-stitch state is tied to
-				// the retained plan being abandoned here; a fresh plan's
-				// cut set has no base decisions to adopt.
-				opts.Localize = nil
-				return Sparsify(ctx, g, opts)
-			}
+	if rf <= 0 || plan.K <= 1 {
+		return false
+	}
+	fair := float64(g.M()) / float64(plan.K)
+	for ci := range plan.Clusters {
+		m := float64(plan.Clusters[ci].LocalEdges())
+		if m > rf*fair {
+			return true
+		}
+		// The fair-share bound alone cannot trip when K ≤ rf (no cluster
+		// can hold more than K× the average), so also compare against
+		// the cluster's own base-build size when the caller provided it;
+		// the tiny floor keeps noise on near-empty clusters from forcing
+		// replans.
+		if ci < len(opts.BaseClusterEdges) && opts.BaseClusterEdges[ci] > tinyClusterEdges &&
+			m > rf*float64(opts.BaseClusterEdges[ci]) {
+			return true
 		}
 	}
-
-	maxCut := opts.MaxCutFraction
-	if maxCut == 0 {
-		maxCut = DefaultMaxCutFraction
-	}
-	cutFrac := cutFractionOf(g, plan)
-	if maxCut > 0 && cutFrac > maxCut {
-		so := opts.Sparsify
-		if so.Method == sparsify.ER || so.ERRanking {
-			so = so.WithERAssign(plan.Assign)
-		}
-		res, err := sparsify.SparsifyContext(ctx, g, so)
-		if err != nil {
-			return nil, err
-		}
-		// Abandoned into a monolithic build: nothing of the prior plan was
-		// reused, so Incremental stays false (see above).
-		res.Shards = &sparsify.ShardStats{
-			Shards:         plan.K,
-			FallbackSplits: plan.FallbackSplits,
-			CutEdges:       len(plan.CutEdges),
-			CutFraction:    cutFrac,
-			Abandoned:      true,
-			PlanTime:       plan.PlanTime,
-		}
-		return res, nil
-	}
-
-	res, err := Run(ctx, g, plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Shards.Incremental = true
-	return res, nil
-}
-
-// planForIncremental picks the plan reconstruction: the lazy
-// reweight-only variant when the localize handoff proves index adoption
-// will engage in Run (so clean clusters' local subgraphs are provably
-// never read), the full PlanFromAssign otherwise. The conditions mirror
-// Run's own gating (Localize.adoptByIndex plus the ER carve-out)
-// exactly — if any of them fails, Run would route clean clusters
-// through fingerprinting, which needs materialized local graphs.
-func planForIncremental(g *graph.Graph, assign []int, opts Options) (*Plan, error) {
-	loc := opts.Localize
-	if loc != nil && loc.IndexAligned && loc.BaseSub != nil &&
-		len(loc.BaseEdgeIdx) > 0 && opts.Sparsify.Method != sparsify.ER {
-		aligned := true
-		for _, ei := range loc.BaseEdgeIdx {
-			if ei < 0 || ei >= g.M() {
-				aligned = false
-				break
-			}
-		}
-		if aligned {
-			p, err := PlanFromAssignReweight(g, assign, loc.DirtyVertices)
-			if err != nil {
-				return nil, err
-			}
-			if len(loc.BaseKeys) == p.K {
-				return p, nil
-			}
-			// Key misalignment: adoption will not engage, so the lazy
-			// plan's unmaterialized clean clusters would be read. Rebuild
-			// fully instead.
-		}
-	}
-	return PlanFromAssign(g, assign)
+	return false
 }

@@ -10,15 +10,13 @@ import (
 	"repro/internal/sparsify"
 )
 
-// Localize carries the base build's state into a delta rebuild so Run
-// can restrict work to the dirty neighborhood. Without it the stitch is
-// O(cut): every cut edge is re-sorted into a fresh spanning forest and
-// the recovery round factorizes the full stitched subgraph — the
-// dominant cost of a small delta once clusters hit the cache. With it,
-// clean-clean cut edges adopt the base build's stitch decision verbatim
-// and only cut edges incident to dirty clusters are re-decided, with
-// the recovery round confined to the dirty region
-// (sparsify.RecoverOffSubgraphRegion).
+// Localize carries a base build's state into a delta rebuild so Run
+// can restrict work to the dirty neighborhood: clusters holding a
+// touched vertex are dirty, clean-clean cut edges adopt the base build's
+// stitch decision verbatim, and only cut edges incident to dirty
+// clusters are re-decided, with the recovery round confined to the dirty
+// region (sparsify.RecoverOffSubgraphRegion). Without it every cluster
+// is dirty and the stitch decides every cut edge.
 type Localize struct {
 	// DirtyVertices lists every vertex incident to a delta-modified edge
 	// (graph.Patch.Touched). A cluster containing one is dirty; all
@@ -58,30 +56,8 @@ func (loc *Localize) dirtyClusters(plan *Plan) []bool {
 	return dirty
 }
 
-// adoptByIndex precomputes, per clean cluster, the base sparsifier edges
-// to adopt verbatim (intra-cluster edges only; cut edges are the
-// stitch's business). Returns nil — disabling index adoption, not the
-// localized stitch — when the promised alignment does not hold.
-func (loc *Localize) adoptByIndex(g *graph.Graph, plan *Plan, dirty []bool) [][]int {
-	if !loc.IndexAligned || len(loc.BaseKeys) != plan.K || len(loc.BaseEdgeIdx) == 0 {
-		return nil
-	}
-	adopt := make([][]int, plan.K)
-	for _, ei := range loc.BaseEdgeIdx {
-		if ei < 0 || ei >= g.M() {
-			return nil
-		}
-		ed := g.Edges[ei]
-		cu, cv := plan.Assign[ed.U], plan.Assign[ed.V]
-		if cu == cv && !dirty[cu] {
-			adopt[cu] = append(adopt[cu], ei)
-		}
-	}
-	return adopt
-}
-
 // sortCutByWeight orders cut-edge indices by descending weight with the
-// index tie-break — the forest preference shared with the full stitch.
+// index tie-break — the same preference MEWST applies inside a cluster.
 func sortCutByWeight(g *graph.Graph, cut []int) {
 	slices.SortFunc(cut, func(a, b int) int {
 		// Negative exactly when W[a] > W[b], or the weights are equal
@@ -96,31 +72,38 @@ func sortCutByWeight(g *graph.Graph, cut []int) {
 	})
 }
 
-// stitchLocalized is the dirty-region stitch:
+// stitch decides the cut edges against the dirty cluster set:
 //
 //  1. clean-clean cut edges (neither endpoint cluster dirty) adopt the
 //     base build's decision verbatim — the delta cannot have touched
 //     them, so the base forest/recovery choice is still the right one;
 //  2. cut edges incident to a dirty cluster are re-decided from
 //     scratch: max-weight forest sweep over just those edges, then a
-//     recovery round confined to the dirty region;
+//     recovery round over the ones the forest skipped;
 //  3. a repair sweep over all cut edges restores connectivity in the
 //     rare case the delta removed a seam the base forest depended on
 //     (DSU component count tells us exactly when).
 //
-// The clean-region result is bit-compatible with a full stitch of the
-// base build by construction: membership of every clean-clean cut edge
-// equals the base sparsifier's — except for the `repaired` edges the
-// connectivity sweep admits, which the caller must treat as an escape
-// from the dirty region (a pencil patch restricted to dirty-incident
-// edges would miss them).
-func stitchLocalized(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bool, dirty []bool, loc *Localize, o sparsify.Options) (retained, recovered, adopted, repaired int, err error) {
-	// Two union-find structures with different jobs. forest mirrors the
-	// full stitch exactly: a vertex-level forest built from cut edges
-	// only, so a long dirty seam keeps roughly one crossing per boundary
-	// component — the same retention density the base build got — rather
-	// than collapsing to a single bridge. conn additionally pre-unions
-	// each cluster's vertices (every cluster sparsifier is internally
+// loc == nil means no base decisions: every cluster is dirty, step 1
+// adopts nothing, the forest sweep covers the whole sorted cut, step 3
+// cannot fire (every skipped cut edge is already spanned by the forest),
+// and the recovery round scores against the whole stitched subgraph of
+// g — not the relabelled region copy, whose elimination order differs.
+//
+// With base decisions the clean-region result is bit-compatible with
+// the base build by construction: membership of every clean-clean cut
+// edge equals the base sparsifier's — except for the `repaired` edges
+// the connectivity sweep admits, which the caller must treat as an
+// escape from the dirty region (a pencil patch restricted to
+// dirty-incident edges would miss them).
+func stitch(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bool, dirty []bool, loc *Localize, o sparsify.Options) (retained, recovered, adopted, repaired int, err error) {
+	// Two union-find structures with different jobs. forest is a
+	// vertex-level forest built from cut edges only — deliberately denser
+	// than a forest over the cluster quotient: a long seam keeps roughly
+	// one crossing per boundary component (the crossing density a global
+	// spanning tree would have had) instead of a single bridge carrying
+	// the whole seam's current. conn additionally pre-unions each
+	// cluster's vertices (every cluster sparsifier is internally
 	// connected) and is consulted only for the whole-graph connectivity
 	// repair below.
 	forest := dsu.New(g.N)
@@ -183,9 +166,16 @@ func stitchLocalized(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bo
 		}
 	}
 
-	// Recovery round over the remaining dirty cut edges, budgeted like
-	// the full stitch but against the dirty pool: the clean boundary
-	// already received its α share at base-build time.
+	// Recovery round over the remaining dirty cut edges. The quota keeps
+	// the stitched size comparable to a monolithic build: the per-cluster
+	// runs spent ≈ α·n on their vertices, so the dirty boundary gets the
+	// same α fraction of its own pool (the clean boundary received its
+	// share at base-build time), and at least one edge per dirty cluster
+	// so thin cuts still get reinforced. When the pool fits the quota,
+	// every edge is admitted without scoring — factorizing the stitched
+	// subgraph to rank a pool that fits would be the most expensive no-op
+	// in the pipeline (grid-like graphs land here: the forest already
+	// retained almost every seam edge).
 	alpha := o.Alpha
 	if alpha <= 0 {
 		alpha = 0.10
@@ -209,6 +199,10 @@ func stitchLocalized(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bo
 		}
 		recovered = len(remaining)
 		return retained, recovered, adopted, repaired, nil
+	}
+	if loc == nil {
+		recovered, err = sparsify.RecoverOffSubgraph(ctx, g, inSub, remaining, quota, o)
+		return retained, recovered, adopted, repaired, err
 	}
 
 	// Region = dirty clusters' vertices plus the clean endpoints of

@@ -103,7 +103,8 @@ func TestLocalizedStitchReweightBitCompat(t *testing.T) {
 	loc := localizeFromBase(g, base, p)
 	iopts := opts
 	iopts.Localize = loc
-	res, err := shard.SparsifyIncremental(ctx, p.G, base.Shards.Assign, iopts)
+	iopts.BaseAssign = base.Shards.Assign
+	res, err := shard.Sparsify(ctx, p.G, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,8 @@ func TestLocalizedStitchStructuralDelta(t *testing.T) {
 	}
 	iopts := opts
 	iopts.Localize = loc
-	res, err := shard.SparsifyIncremental(ctx, p.G, base.Shards.Assign, iopts)
+	iopts.BaseAssign = base.Shards.Assign
+	res, err := shard.Sparsify(ctx, p.G, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +231,8 @@ func TestLocalizedStitchCutEdgeRemoval(t *testing.T) {
 	loc := localizeFromBase(g, base, p)
 	iopts := opts
 	iopts.Localize = loc
-	res, err := shard.SparsifyIncremental(ctx, p.G, assign, iopts)
+	iopts.BaseAssign = assign
+	res, err := shard.Sparsify(ctx, p.G, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +273,8 @@ func TestLocalizedStitchCutEdgeReweight(t *testing.T) {
 	loc := localizeFromBase(g, base, p)
 	iopts := opts
 	iopts.Localize = loc
-	res, err := shard.SparsifyIncremental(ctx, p.G, assign, iopts)
+	iopts.BaseAssign = assign
+	res, err := shard.Sparsify(ctx, p.G, iopts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,13 +8,15 @@
 //   - Plan recursively bipartitions the graph into K balanced clusters
 //     using the spectral (Fiedler) split of §4.3, falling back to a BFS
 //     ordering when the spectral solve converges slowly or degenerates;
-//   - Run sparsifies every cluster independently on a bounded worker
-//     pool, then stitches: each intra-cluster sparsifier edge survives, a
-//     maximum-weight spanning forest of the cut edges restores
-//     connectivity across clusters, and the remaining cut edges are
-//     re-scored with the truncated trace-reduction metric against the
-//     stitched subgraph in one global recovery round
-//     (sparsify.RecoverOffSubgraph).
+//   - Run sparsifies every dirty cluster independently on a bounded
+//     worker pool, then stitches: each intra-cluster sparsifier edge
+//     survives, a maximum-weight spanning forest of the dirty-incident
+//     cut edges restores connectivity across clusters, and the remaining
+//     ones are re-scored with the truncated trace-reduction metric
+//     against the stitched subgraph in one recovery round
+//     (sparsify.RecoverOffSubgraph). A cold build has every cluster
+//     dirty; a delta rebuild (Options.Localize) only the clusters the
+//     delta touched, and adopts the base build's decisions elsewhere.
 //
 // The result is a sparsify.Result indistinguishable from a monolithic
 // build downstream (same pencil/factorization machinery), with per-shard
@@ -63,13 +65,19 @@ type Options struct {
 	// (the stitch would cost more than the parallelism saves). 0 selects
 	// DefaultMaxCutFraction; negative disables the guard.
 	MaxCutFraction float64
-	// RebalanceFactor is the incremental path's balance guard: a delta
-	// that grows any retained cluster past RebalanceFactor × (M/K) local
-	// edges forces a fresh plan instead of reusing the stale one (the
-	// whole point of sharding is bounded per-cluster work). 0 selects
+	// RebalanceFactor is the retained plan's balance guard: a delta that
+	// grows any retained cluster past RebalanceFactor × (M/K) local edges
+	// forces a fresh plan instead of reusing the stale one (the whole
+	// point of sharding is bounded per-cluster work). 0 selects
 	// DefaultRebalanceFactor; negative disables the guard.
 	RebalanceFactor float64
-	// BaseClusterEdges, set by the incremental path, is each retained
+	// BaseAssign, when non-nil, is a retained per-vertex cluster
+	// assignment (a base build's ShardStats.Assign): Sparsify rebuilds
+	// the plan from it instead of replanning, so clusters a delta did not
+	// touch keep their ids, seeds and fingerprints, and the result
+	// reports Incremental. The rebalance guard may still replan.
+	BaseAssign []int
+	// BaseClusterEdges, set alongside BaseAssign, is each retained
 	// cluster's local edge count at base-build time (aligned with cluster
 	// ids). The rebalance guard compares growth against it — the M/K fair
 	// share alone is unreachable when K ≤ RebalanceFactor, since no
@@ -86,13 +94,13 @@ type Options struct {
 	// remote worker fleet). Nil builds every cluster in-process — the
 	// behaviour predating the fabric.
 	Dispatcher Dispatcher
-	// Localize, set by the incremental path for delta rebuilds, carries
-	// the base build's state so the stitch can adopt clean-region
-	// decisions verbatim and confine the forest sweep and recovery round
-	// to cut edges near dirty clusters. Nil redoes the full stitch (the
-	// behaviour predating the streaming fast path). Ignored by ER builds
-	// (their importance reweights are not adoptable by membership alone)
-	// and dropped by the guards that abandon the retained plan.
+	// Localize, set for delta rebuilds, carries the base build's state:
+	// it marks the clusters a delta touched dirty, so the stitch adopts
+	// clean-region decisions verbatim and confines the forest sweep and
+	// recovery round to cut edges near dirty clusters. Nil marks every
+	// cluster dirty (a cold build). Ignored by ER builds (their
+	// importance reweights are not adoptable by membership alone) and
+	// dropped by the rebalance guard when it abandons the retained plan.
 	Localize *Localize
 	// Sparsify configures the per-cluster construction and the global
 	// recovery round (zero value = the paper's parameters). Workers also
@@ -193,6 +201,13 @@ type Plan struct {
 	// instead of the Fiedler split.
 	FallbackSplits int
 	PlanTime       time.Duration
+
+	// adopt, set by retainedPlan for a reweight-only delta, lists per
+	// clean cluster the base sparsifier edge indices Run adopts verbatim
+	// (nil entries for dirty clusters); baseKeys are the base cluster
+	// fingerprints the adopted clusters keep. Nil on every other plan.
+	adopt    [][]int
+	baseKeys []string
 }
 
 // NewPlan partitions g into (about) k balanced, connected clusters by

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dsu"
 	"repro/internal/graph"
 	"repro/internal/lap"
 	"repro/internal/sparsify"
@@ -23,20 +22,47 @@ const tinyClusterEdges = 32
 // share of the input is abandoned in favour of a monolithic build.
 const DefaultMaxCutFraction = 0.5
 
-// Sparsify plans and runs the sharded pipeline in one call — the
-// large-graph counterpart of sparsify.SparsifyContext, returning the same
-// Result shape (with Result.Shards telemetry attached).
+// Sparsify is the one sharded entry point — the large-graph counterpart
+// of sparsify.SparsifyContext, returning the same Result shape (with
+// Result.Shards telemetry attached). It plans, runs one expander guard,
+// then Run:
 //
-// An expander guard runs between the two phases: on graphs with no good
-// cuts (random geometric at high radius, social-style expanders) the
-// recursive bisection produces a plan whose cut-edge set rivals the graph
-// itself, and the stitch — a global recovery round over the cut — would
-// cost more than the per-cluster parallelism saves while degrading
-// quality. When the planned cut fraction exceeds Options.MaxCutFraction,
-// the build falls back to the monolithic path; the decision (and the
-// offending fraction) is recorded in Result.Shards with Abandoned set.
+//   - with Options.BaseAssign set, the plan is rebuilt from that retained
+//     assignment, so clusters a delta did not touch keep their
+//     fingerprints and hit Options.Cache, and the result reports
+//     Incremental. A delta that grew any retained cluster past
+//     RebalanceFactor × (M/K) local edges (or past that multiple of its
+//     own base-build size) abandons the stale plan for a fresh one:
+//     bounded per-cluster work is the point of sharding;
+//   - without it, NewPlan partitions the graph.
+//
+// The expander guard: on graphs with no good cuts (random geometric at
+// high radius, social-style expanders) the recursive bisection produces
+// a plan whose cut-edge set rivals the graph itself, and the stitch —
+// a recovery round over the cut — would cost more than the per-cluster
+// parallelism saves while degrading quality. When the planned cut
+// fraction exceeds Options.MaxCutFraction, the build falls back to the
+// monolithic path; the decision (and the offending fraction) is recorded
+// in Result.Shards with Abandoned set.
 func Sparsify(ctx context.Context, g *graph.Graph, opts Options) (*sparsify.Result, error) {
-	plan, err := NewPlan(ctx, g, opts)
+	var plan *Plan
+	var err error
+	reused := opts.BaseAssign != nil
+	if reused {
+		plan, err = retainedPlan(g, opts)
+		if err == nil && outgrown(g, plan, opts) {
+			// Fresh plan, full build: deliberately NOT marked Incremental
+			// — callers and operators read that flag as "a prior plan was
+			// reused", and a rebalance replan pays cold-build cost. The
+			// base stitch decisions belong to the abandoned plan; a fresh
+			// plan's cut set has none to adopt.
+			opts.BaseAssign, opts.Localize = nil, nil
+			reused = false
+			plan, err = NewPlan(ctx, g, opts)
+		}
+	} else {
+		plan, err = NewPlan(ctx, g, opts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -57,6 +83,8 @@ func Sparsify(ctx context.Context, g *graph.Graph, opts Options) (*sparsify.Resu
 		if err != nil {
 			return nil, err
 		}
+		// Abandoned into a monolithic build: nothing of a retained plan
+		// was reused, so Incremental stays false.
 		res.Shards = &sparsify.ShardStats{
 			Shards:         plan.K,
 			FallbackSplits: plan.FallbackSplits,
@@ -67,19 +95,32 @@ func Sparsify(ctx context.Context, g *graph.Graph, opts Options) (*sparsify.Resu
 		}
 		return res, nil
 	}
-	return Run(ctx, g, plan, opts)
+	res, err := Run(ctx, g, plan, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Shards.Incremental = reused
+	return res, nil
 }
 
-// Run sparsifies every cluster of the plan concurrently on a bounded
-// worker pool and stitches the results:
+// Run sparsifies the plan's dirty clusters concurrently on a bounded
+// worker pool and stitches the results (see stitch):
 //
 //  1. every intra-cluster sparsifier edge survives;
-//  2. a maximum-weight spanning forest of the cut edges is retained, so
-//     the stitched subgraph is connected (each per-cluster sparsifier is
-//     connected, and the forest connects the cluster quotient graph);
-//  3. the remaining cut edges are re-scored with the truncated
-//     trace-reduction metric (eq. 20) against the stitched subgraph in
-//     one global recovery round, and the best are re-admitted.
+//  2. a maximum-weight spanning forest of the dirty-incident cut edges
+//     is retained, so the stitched subgraph is connected (each
+//     per-cluster sparsifier is connected, and the forest connects the
+//     cluster quotient graph);
+//  3. the remaining dirty-incident cut edges are re-scored with the
+//     truncated trace-reduction metric (eq. 20) against the stitched
+//     subgraph in one recovery round, and the best are re-admitted.
+//
+// The dirty set is the only thing that distinguishes a cold build from
+// a delta rebuild. Options.Localize carries a base build's decisions and
+// marks the clusters holding a touched vertex dirty; without it (a cold
+// build, or a plan-reuse rebuild with no delta) every cluster is dirty,
+// so every cluster is built or fetched from the cache and the stitch
+// decides every cut edge.
 func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsify.Result, error) {
 	if plan == nil || plan.K < 1 {
 		return nil, fmt.Errorf("shard: empty plan")
@@ -105,37 +146,30 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	// the fabric protocol cannot carry — so ER builds every cluster
 	// locally and fresh, and collects the weight overrides here.
 	// Clusters write only their own edge indices, so the concurrent
-	// stores never collide.
+	// stores never collide. For the same reason ER builds adopt no base
+	// decisions: every cluster is dirty.
 	erMode := o.Method == sparsify.ER
 	var reweight []float64
 	if erMode {
 		reweight = make([]float64, g.M())
 	}
-
-	// Localized delta rebuild: map the delta's touched vertices onto
-	// dirty clusters, and (for index-aligned reweight-only deltas)
-	// precompute each clean cluster's verbatim adoption list — those
-	// clusters then skip fingerprinting, cache lookups, and endpoint
-	// resolution entirely.
 	loc := opts.Localize
 	if erMode || (loc != nil && loc.BaseSub == nil) {
 		loc = nil
 	}
-	var dirtyCluster []bool
-	var adoptIdx [][]int
+	dirty := make([]bool, plan.K)
+	dirtyCount := 0
 	if loc != nil {
-		dirtyCluster = loc.dirtyClusters(plan)
-		adoptIdx = loc.adoptByIndex(g, plan, dirtyCluster)
-	}
-
-	// A streaming dispatcher unlocks the overlapped build: results drain
-	// in completion order while the stitch's cut-forest accumulation runs
-	// concurrently, instead of idling at the collection barrier below.
-	// ER builds are excluded for the same reason they skip dispatch, and
-	// localized rebuilds keep the barrier (their stitch reads base-build
-	// membership that adoption is still writing).
-	if sd, ok := opts.Dispatcher.(StreamDispatcher); ok && !erMode && loc == nil {
-		return runStreamed(ctx, g, plan, opts, sd, o, workers, buildStart, inSub, perShard, phases, errs, keys)
+		dirty = loc.dirtyClusters(plan)
+		for _, d := range dirty {
+			if d {
+				dirtyCount++
+			}
+		}
+	} else {
+		for ci := range dirty {
+			dirty[ci] = true
+		}
 	}
 
 	// Each worker owns the clusters it pulls; the per-cluster option set
@@ -152,20 +186,20 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 			defer wg.Done()
 			for ci := range next {
 				cl := &plan.Clusters[ci]
-				if adoptIdx != nil && !dirtyCluster[ci] {
+				if plan.adopt != nil && !dirty[ci] {
 					// Index-aligned adoption: the delta was reweight-only
 					// and this cluster is clean, so its local edges,
 					// seed, and fingerprint are provably unchanged — keep
 					// the base key and mark the base sparsifier edges by
 					// index, no hashing or resolution.
-					keys[ci] = loc.BaseKeys[ci]
-					for _, ge := range adoptIdx[ci] {
+					keys[ci] = plan.baseKeys[ci]
+					for _, ge := range plan.adopt[ci] {
 						inSub[ge] = true
 					}
 					perShard[ci] = sparsify.ShardBuild{
 						Vertices:        len(cl.Vertices),
 						Edges:           cl.LocalEdges(),
-						SparsifierEdges: len(adoptIdx[ci]),
+						SparsifierEdges: len(plan.adopt[ci]),
 						Reused:          true,
 					}
 					continue
@@ -236,173 +270,30 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	}
 	buildTime := time.Since(buildStart)
 
-	// Stitch. The cut edges' spanning structure first: a maximum-weight
-	// spanning forest of the cut-edge graph over the *vertices* (by
-	// descending weight, the same preference MEWST applies inside a
-	// cluster). This is deliberately denser than a forest over the
-	// cluster quotient: a long seam between two clusters keeps roughly
-	// one crossing per boundary component — the crossing density a global
-	// spanning tree would have had — instead of a single bridge carrying
-	// the whole seam's current. Every skipped cut edge has both endpoints
-	// already connected through retained cut edges, and each cluster's
-	// sparsifier is internally connected, so the stitched subgraph is
-	// connected.
 	stitchStart := time.Now()
-	var retained, recovered, adopted, repaired, dirtyCount int
-	if loc != nil {
-		// Localized stitch: clean-clean cut edges adopt the base
-		// decision, only the dirty neighborhood is re-decided, and the
-		// recovery round factorizes the dirty region instead of the
-		// whole stitched subgraph (see localize.go).
-		var err error
-		retained, recovered, adopted, repaired, err = stitchLocalized(ctx, g, plan, inSub, dirtyCluster, loc, o)
-		if err != nil {
-			return nil, err
-		}
-		for _, isDirty := range dirtyCluster {
-			if isDirty {
-				dirtyCount++
-			}
-		}
-	} else {
-		var remaining []int
-		retained, remaining = cutForest(g, plan, inSub)
-		var err error
-		recovered, err = recoverCut(ctx, g, plan, inSub, remaining, o)
-		if err != nil {
-			return nil, err
-		}
+	retained, recovered, adopted, repaired, err := stitch(ctx, g, plan, inSub, dirty, loc, o)
+	if err != nil {
+		return nil, err
 	}
-	stitchTime := time.Since(stitchStart)
 
 	st := &sparsify.ShardStats{
+		Shards:          plan.K,
+		FallbackSplits:  plan.FallbackSplits,
+		CutEdges:        len(plan.CutEdges),
+		CutFraction:     cutFractionOf(g, plan),
 		CutRetained:     retained,
 		CutRecovered:    recovered,
 		StitchLocalized: loc != nil,
 		CutAdopted:      adopted,
 		CutRepaired:     repaired,
 		DirtyClusters:   dirtyCount,
+		PlanTime:        plan.PlanTime,
 		BuildTime:       buildTime,
-		StitchTime:      stitchTime,
+		StitchTime:      time.Since(stitchStart),
+		Assign:          plan.Assign,
+		ClusterKeys:     keys,
+		PerShard:        perShard,
 	}
-	return finishRun(g, plan, o, inSub, reweight, perShard, phases, keys, st), nil
-}
-
-// runStreamed is Run's overlapped build path: the clusters that need a
-// fresh build are collected by a sequential pre-pass (cache adoption and
-// tiny-cluster shortcuts resolve inline, exactly as the pooled path
-// decides them), every pending request goes through the dispatcher's
-// stream, and the stitch's cut-forest accumulation runs concurrently
-// with the drain. The concurrency is sound by construction: cut edges
-// cross clusters, cluster sparsifier edges do not, so the forest
-// goroutine and the drain loop write disjoint inSub elements. The
-// recovery round — which reads all of inSub — waits for both.
-func runStreamed(ctx context.Context, g *graph.Graph, plan *Plan, opts Options, sd StreamDispatcher, o sparsify.Options, workers int, buildStart time.Time, inSub []bool, perShard []sparsify.ShardBuild, phases []sparsify.Stats, errs []error, keys []string) (*sparsify.Result, error) {
-	var reqs []*ClusterRequest
-	for ci := range plan.Clusters {
-		cl := &plan.Clusters[ci]
-		seed := clusterSeed(o.Seed, ci)
-		keys[ci] = ClusterKey(cl, seed, o)
-		if opts.Cache != nil {
-			if pairs, ok := opts.Cache.GetCluster(keys[ci]); ok && adoptCluster(g, cl, pairs, inSub, &perShard[ci]) {
-				continue
-			}
-		}
-		perShard[ci].Vertices = cl.Local.N
-		perShard[ci].Edges = cl.Local.M()
-		if cl.Local.M() <= tinyClusterEdges {
-			start := time.Now()
-			for _, ge := range cl.GlobalEdge {
-				inSub[ge] = true
-			}
-			perShard[ci].SparsifierEdges = cl.Local.M()
-			perShard[ci].Time = time.Since(start)
-			continue
-		}
-		co := o
-		co.Workers = 1
-		co.Seed = seed
-		reqs = append(reqs, &ClusterRequest{Index: ci, Key: keys[ci], Cluster: cl, Opts: co})
-	}
-
-	streamStart := time.Now()
-	type forestOut struct {
-		retained  int
-		remaining []int
-		elapsed   time.Duration
-		done      time.Time
-	}
-	forestCh := make(chan forestOut, 1)
-	go func() {
-		fs := time.Now()
-		ret, rem := cutForest(g, plan, inSub)
-		forestCh <- forestOut{ret, rem, time.Since(fs), time.Now()}
-	}()
-
-	for s := range sd.DispatchStream(ctx, reqs, workers) {
-		ci := s.Req.Index
-		if s.Err != nil {
-			errs[ci] = s.Err
-			continue
-		}
-		if !adoptWeighted(g, s.Res, inSub, nil) {
-			errs[ci] = fmt.Errorf("shard: cluster %d: dispatched result contains edges not in the graph", ci)
-			continue
-		}
-		phases[ci] = s.Res.Stats
-		perShard[ci].SparsifierEdges = len(s.Res.Edges)
-		perShard[ci].Remote = s.Res.Remote
-		// Results land in completion order, so the per-cluster wall clock
-		// is not observable here; Time records completion latency from
-		// stream start instead.
-		perShard[ci].Time = time.Since(streamStart)
-		if opts.Cache != nil {
-			opts.Cache.AddCluster(keys[ci], s.Res.Edges)
-		}
-	}
-	drainDone := time.Now()
-	fo := <-forestCh
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	buildTime := time.Since(buildStart)
-
-	// Overlap saved: the slice of forest work that ran while builds were
-	// still in flight — what the barrier path would have serialized.
-	end := fo.done
-	if drainDone.Before(end) {
-		end = drainDone
-	}
-	var overlapSaved time.Duration
-	if d := end.Sub(streamStart); d > 0 {
-		overlapSaved = d
-	}
-	if obs, ok := opts.Dispatcher.(OverlapObserver); ok {
-		obs.NoteOverlapSaved(overlapSaved)
-	}
-
-	recStart := time.Now()
-	recovered, err := recoverCut(ctx, g, plan, inSub, fo.remaining, o)
-	if err != nil {
-		return nil, err
-	}
-
-	st := &sparsify.ShardStats{
-		CutRetained:        fo.retained,
-		CutRecovered:       recovered,
-		BuildTime:          buildTime,
-		StitchTime:         fo.elapsed + time.Since(recStart),
-		Streamed:           true,
-		StreamOverlapSaved: overlapSaved,
-	}
-	return finishRun(g, plan, o, inSub, nil, perShard, phases, keys, st), nil
-}
-
-// finishRun fills the plan-derived and aggregate ShardStats fields and
-// assembles the sparsify.Result both build paths share.
-func finishRun(g *graph.Graph, plan *Plan, o sparsify.Options, inSub []bool, reweight []float64, perShard []sparsify.ShardBuild, phases []sparsify.Stats, keys []string, st *sparsify.ShardStats) *sparsify.Result {
 	for i := range perShard {
 		if perShard[i].Reused {
 			st.ClustersReused++
@@ -411,21 +302,13 @@ func finishRun(g *graph.Graph, plan *Plan, o sparsify.Options, inSub []bool, rew
 			st.ClustersRemote++
 		}
 	}
-	st.Shards = plan.K
-	st.FallbackSplits = plan.FallbackSplits
-	st.CutEdges = len(plan.CutEdges)
-	st.CutFraction = cutFractionOf(g, plan)
-	st.PlanTime = plan.PlanTime
-	st.Assign = plan.Assign
-	st.ClusterKeys = keys
-	st.PerShard = perShard
 
 	res := &sparsify.Result{
-		InSub:  inSub,
-		Shift:  lap.Shift(g, o.ShiftRel),
-		Shards: st,
+		InSub:    inSub,
+		Shift:    lap.Shift(g, o.ShiftRel),
+		Shards:   st,
+		Reweight: reweight,
 	}
-	res.Reweight = reweight
 	for e, in := range inSub {
 		if in {
 			res.EdgeIdx = append(res.EdgeIdx, e)
@@ -448,56 +331,7 @@ func finishRun(g *graph.Graph, plan *Plan, o sparsify.Options, inSub []bool, rew
 	if res.Stats.Rounds == 0 {
 		res.Stats.Rounds = 1
 	}
-	return res
-}
-
-// cutForest retains a maximum-weight spanning forest of the cut edges
-// over the vertices (by descending weight, the same preference MEWST
-// applies inside a cluster), marking retained edges into inSub and
-// returning the rest for the recovery round.
-func cutForest(g *graph.Graph, plan *Plan, inSub []bool) (retained int, remaining []int) {
-	cut := append([]int(nil), plan.CutEdges...)
-	sortCutByWeight(g, cut)
-	d := dsu.New(g.N)
-	remaining = make([]int, 0, len(cut))
-	for _, e := range cut {
-		ed := g.Edges[e]
-		if d.Union(ed.U, ed.V) {
-			inSub[e] = true
-			retained++
-		} else {
-			remaining = append(remaining, e)
-		}
-	}
-	return retained, remaining
-}
-
-// recoverCut is the global recovery round over the remaining cut edges.
-// The quota keeps the stitched size comparable to a monolithic build:
-// the per-cluster runs already spent ≈ α·Σn_c = α·N, so the boundary
-// gets the same α fraction of its own candidate pool (at least one edge
-// per planned bridge, so thin cuts still get reinforced). When the pool
-// fits the quota anyway, every edge is admitted without scoring —
-// factorizing the whole stitched subgraph to rank a pool that fits
-// would be the single most expensive no-op in the pipeline (grid-like
-// graphs land here: the cut forest already retained almost every seam
-// edge).
-func recoverCut(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bool, remaining []int, o sparsify.Options) (int, error) {
-	alpha := o.Alpha
-	if alpha <= 0 {
-		alpha = 0.10
-	}
-	quota := int(alpha * float64(len(plan.CutEdges)))
-	if quota < plan.K {
-		quota = plan.K
-	}
-	if len(remaining) <= quota {
-		for _, e := range remaining {
-			inSub[e] = true
-		}
-		return len(remaining), nil
-	}
-	return sparsify.RecoverOffSubgraph(ctx, g, inSub, remaining, quota, o)
+	return res, nil
 }
 
 // cutFractionOf returns the plan's cut-edge share of the input edges.

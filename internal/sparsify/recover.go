@@ -34,7 +34,7 @@ type ShardStats struct {
 
 	PlanTime   time.Duration // partitioning (Fiedler/BFS bisection)
 	BuildTime  time.Duration // per-cluster sparsification (wall clock)
-	StitchTime time.Duration // forest + global recovery round
+	StitchTime time.Duration // forest + recovery round
 
 	// Abandoned reports that the expander guard rejected the plan at
 	// plan time — the cut fraction exceeded the configured ceiling, so
@@ -82,14 +82,6 @@ type ShardStats struct {
 	// tiny clusters) ran in-process — including remote dispatches that
 	// degraded to the local fallback.
 	ClustersRemote int
-
-	// Streamed reports the build drained dispatcher results over a
-	// stream, overlapping the stitch's cut-forest accumulation with the
-	// in-flight cluster builds; StreamOverlapSaved is the stitch time
-	// hidden inside the build window that way (the barrier path would
-	// have serialized it after the slowest cluster).
-	Streamed           bool
-	StreamOverlapSaved time.Duration
 
 	PerShard []ShardBuild
 }

@@ -3,6 +3,7 @@ package trsparse
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -391,6 +392,22 @@ func TestPrecondStrategies(t *testing.T) {
 		}
 		if diff > 1e-6*norm {
 			t.Fatalf("%s solution diverges: rel² = %g", s.PrecondStats().Kind, diff/norm)
+		}
+	}
+}
+
+// TestUpdateRejectsNonFiniteWeights: a delta that sets an edge to NaN or
+// ±Inf is refused with an error, as New refuses such a graph — not a
+// panic in the rebuild and not a failed factorization.
+func TestUpdateRejectsNonFiniteWeights(t *testing.T) {
+	ctx := context.Background()
+	s, err := New(ctx, Grid2D(20, 20, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.Update(ctx, Delta{Set: []Edge{{U: 0, V: 1, W: w}}}); err == nil {
+			t.Errorf("Update accepted weight %g", w)
 		}
 	}
 }
