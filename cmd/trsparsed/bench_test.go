@@ -148,15 +148,14 @@ func BenchmarkSolveThroughput(b *testing.B) {
 
 // BenchmarkFleetFactorBuild is the PR-10 fabric benchmark: one sharded
 // Schwarz-preconditioned build of the 600×600 grid (the same deliberately
-// unscaled graph as BenchmarkShardedSparsify) three ways. "local" is the
+// unscaled graph as BenchmarkShardedSparsify) two ways. "local" is the
 // coordinator doing everything in-process. "fleet" ships the cluster
 // sparsifier builds to two in-process worker servers over the real
-// HTTP/JSON wire but factorizes locally. "fleet-factors" additionally
-// dispatches the per-cluster Schwarz factorizations to the same workers
-// (-remote-factors). All three produce the bit-identical artifact — the
-// pcg-iters metric proves it on a shared right-hand side — so the legs
-// measure pure orchestration cost — wire codec and dispatch scheduling —
-// against the in-process baseline.
+// HTTP/JSON wire; the Schwarz factors are always built in-process. Both
+// produce the bit-identical artifact — the pcg-iters metric proves it on
+// a shared right-hand side — so the fleet leg measures pure
+// orchestration cost — wire codec and dispatch scheduling — against the
+// in-process baseline.
 func BenchmarkFleetFactorBuild(b *testing.B) {
 	ctx := context.Background()
 	g := gen.Grid2D(600, 600, 1)
@@ -171,13 +170,14 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 		rhs[i] -= sum / float64(len(rhs))
 	}
 
-	run := func(b *testing.B, nWorkers int, remoteFactors bool) {
+	run := func(b *testing.B, nWorkers int) {
 		var art *engine.Artifact
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			// Fresh workers and a fresh engine per pass: the cluster and
-			// factor caches on both sides would otherwise turn every pass
-			// after the first into lookups.
+			// Fresh workers and a fresh engine per pass: the cluster
+			// caches on both sides and the coordinator's factor cache
+			// would otherwise turn every pass after the first into
+			// lookups.
 			var fleet []string
 			for w := 0; w < nWorkers; w++ {
 				cache := engine.NewClusterStore(256, 0)
@@ -191,7 +191,6 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 				ShardThreshold: g.N / 32,
 				Precond:        precond.Schwarz,
 				Fleet:          fleet,
-				RemoteFactors:  remoteFactors,
 			})
 			b.StartTimer()
 			var err error
@@ -204,10 +203,6 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 			if nWorkers > 0 && st.ClustersRemote == 0 {
 				b.Fatal("fleet leg built no clusters remotely")
 			}
-			if remoteFactors && st.FactorsRemote == 0 {
-				b.Fatal("fleet-factors leg built no factors remotely")
-			}
-			b.ReportMetric(float64(st.FactorsRemote)/float64(b.N), "factors-remote")
 			b.StartTimer()
 		}
 		b.StopTimer()
@@ -218,7 +213,6 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 		b.ReportMetric(float64(sol.Iterations), "pcg-iters")
 	}
 
-	b.Run("local", func(b *testing.B) { run(b, 0, false) })
-	b.Run("fleet", func(b *testing.B) { run(b, 2, false) })
-	b.Run("fleet-factors", func(b *testing.B) { run(b, 2, true) })
+	b.Run("local", func(b *testing.B) { run(b, 0) })
+	b.Run("fleet", func(b *testing.B) { run(b, 2) })
 }

@@ -60,7 +60,6 @@ func main() {
 	fleetTimeout := flag.Duration("fleet-timeout", 0, "per-attempt deadline for remote cluster dispatch (0 = 1m)")
 	fleetRetries := flag.Int("fleet-retries", 0, "additional dispatch attempts after a failed one (0 = 2, negative disables)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a straggling cluster dispatch on the next-ranked worker after this delay; first result wins (0 disables)")
-	remoteFactors := flag.Bool("remote-factors", false, "dispatch Schwarz per-cluster factorizations to the fleet too (requires -fleet; bit-identical to local, per-cluster local fallback)")
 	peerFetch := flag.Bool("peer-fetch", false, "worker mode: on a cache miss for a key that moved in a membership change, try one GET /v2/cluster/{key} against the previous owner before rebuilding")
 	streamSessions := flag.Int("stream-sessions", 0, "max concurrent /v2/stream sessions (0 = default 16, negative disables streaming)")
 	streamStaleness := flag.Int("stream-staleness", 0, "staleness bound: max accepted pushes a session's served artifact may lag before pushes get 429 (0 = default 8)")
@@ -69,9 +68,6 @@ func main() {
 
 	if *workerMode && *fleet != "" {
 		log.Fatal("-worker and -fleet are mutually exclusive: a worker executes clusters, a coordinator dispatches them")
-	}
-	if *remoteFactors && *fleet == "" {
-		log.Fatal("-remote-factors needs a fleet to dispatch to (-fleet)")
 	}
 	if *peerFetch && !*workerMode {
 		log.Fatal("-peer-fetch is a worker-side behaviour (use with -worker)")
@@ -115,7 +111,6 @@ func main() {
 				Retries:    *fleetRetries,
 				HedgeAfter: *hedgeAfter,
 			},
-			RemoteFactors:     *remoteFactors,
 			Sparsify:          sparsify.Options{Method: m, Alpha: *alpha, Rounds: *rounds, Seed: *seed},
 			StreamMaxSessions: *streamSessions,
 			StreamStaleness:   *streamStaleness,

@@ -68,15 +68,15 @@ func NewPencilWith(g, p *graph.Graph, shift []float64, builder precond.Builder) 
 	if builder == nil {
 		builder = precond.NewMonolithic()
 	}
-	return newPencilFromParts(g.N, shift, lap.Laplacian(g, shift), lap.Laplacian(p, shift), builder)
+	return newPencilFromLaplacians(g.N, shift, lap.Laplacian(g, shift), lap.Laplacian(p, shift), builder)
 }
 
-// newPencilFromParts wraps pre-assembled Laplacians into a Pencil and
+// newPencilFromLaplacians wraps pre-assembled Laplacians into a Pencil and
 // builds the preconditioner — the seam the streaming-delta fast path
 // uses to hand in patched matrices instead of paying two full triplet
 // assemblies per update. builder must be non-nil here; NewPencilWith
 // resolves the default.
-func newPencilFromParts(n int, shift []float64, lg, lp *sparse.CSC, builder precond.Builder) (*Pencil, error) {
+func newPencilFromLaplacians(n int, shift []float64, lg, lp *sparse.CSC, builder precond.Builder) (*Pencil, error) {
 	pen := &Pencil{
 		N:     n,
 		Shift: shift,
@@ -93,7 +93,7 @@ func newPencilFromParts(n int, shift []float64, lg, lp *sparse.CSC, builder prec
 			// not a numerically bad matrix.
 			err = fmt.Errorf("%w: %w", ErrDimension, err)
 		}
-		return nil, fmt.Errorf("core: building %s preconditioner for sparsifier: %w", builder.Kind(), err)
+		return nil, wrapCanceled(fmt.Errorf("core: building %s preconditioner for sparsifier: %w", builder.Kind(), err))
 	}
 	pen.Pre = pre
 	pen.PreStats = st

@@ -106,14 +106,6 @@ type Config struct {
 	// them when present.
 	Clusters shard.ClusterCache
 	Factors  precond.FactorCache
-
-	// RemoteFactors, when true and Dispatcher also implements
-	// precond.FactorDispatcher, routes Schwarz per-cluster factorizations
-	// through the fleet: each cluster's exact overlap-extended pencil
-	// block ships to the worker already warm for that cluster, and the
-	// validated factor comes back bit-identical to a local build.
-	// Failures fall back to local factorization inside the builder.
-	RemoteFactors bool
 }
 
 // erPlanVertices is the graph size above which the ER method routes
@@ -324,17 +316,12 @@ func (s *Sparsifier) precondBuilder(ctx context.Context, cfg Config) (precond.Bu
 		}
 		assign = plan.Assign
 	}
-	var fd precond.FactorDispatcher
-	if cfg.RemoteFactors {
-		fd, _ = cfg.Dispatcher.(precond.FactorDispatcher)
-	}
 	return precond.NewSchwarz(assign, precond.SchwarzOptions{
 		Workers:      cfg.Sparsify.Workers,
 		Overlap:      cfg.Overlap,
 		Keys:         keys,
 		Cache:        cfg.Factors,
 		ApplyWorkers: cfg.ApplyWorkers,
-		Factors:      fd,
 		Ctx:          ctx,
 	}), nil
 }

@@ -300,7 +300,7 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 	upd.PatchTime = time.Since(t) - upd.AssembleTime
 	upd.StoredZeros = lgZeros + lpZeros
 
-	pen, err := newPencilFromParts(newG.N, shift, lg, lp, builder)
+	pen, err := newPencilFromLaplacians(newG.N, shift, lg, lp, builder)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}

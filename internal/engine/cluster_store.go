@@ -89,23 +89,18 @@ func NewClusterStore(capacity int, maxBytes int64) *ClusterStore {
 	}
 }
 
-// touch returns the entry for key marked most recently used, or nil.
-// Counted lookups go through get.
-func (s *ClusterStore) get(key string, count bool) *clusterEntry {
+// get returns a copy of the entry for key, taken under the lock, and
+// marks it most recently used. It counts nothing: a present entry may
+// hold only one of its two halves, so the callers decide what a hit is.
+func (s *ClusterStore) get(key string) (clusterEntry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.items[key]
 	if !ok {
-		if count {
-			s.misses.Add(1)
-		}
-		return nil
-	}
-	if count {
-		s.hits.Add(1)
+		return clusterEntry{}, false
 	}
 	s.ll.MoveToFront(el)
-	return el.Value.(*clusterEntry)
+	return *el.Value.(*clusterEntry), true
 }
 
 // upsert applies fn to the (possibly fresh) entry for key under the lock
@@ -140,11 +135,14 @@ func (s *ClusterStore) upsert(key string, fn func(*clusterEntry)) {
 	}
 }
 
-// GetCluster implements shard.ClusterCache.
+// GetCluster implements shard.ClusterCache. It counts a hit only when it
+// returns edges; a factor-only entry is a miss.
 func (s *ClusterStore) GetCluster(key string) ([][2]int, bool) {
-	if e := s.get(key, true); e != nil && e.edges != nil {
+	if e, ok := s.get(key); ok && e.edges != nil {
+		s.hits.Add(1)
 		return e.edges, true
 	}
+	s.misses.Add(1)
 	return nil, false
 }
 
@@ -157,7 +155,7 @@ func (s *ClusterStore) AddCluster(key string, edges [][2]int) {
 // entries but are not counted as cluster hits/misses — the headline
 // reuse metric is the sparsifier-rebuild one.
 func (s *ClusterStore) GetFactor(key string) (*chol.Factor, []int, bool) {
-	if e := s.get(key, false); e != nil && e.factor != nil {
+	if e, ok := s.get(key); ok && e.factor != nil {
 		return e.factor, e.factorIdx, true
 	}
 	return nil, nil, false

@@ -117,3 +117,41 @@ func TestClusterStoreChargesWholeFactor(t *testing.T) {
 		t.Fatal("the most recent entry was evicted")
 	}
 }
+
+// TestClusterStoreCountsOnlyReturnedClusters: GetCluster counts a hit
+// exactly when it returns edges. A factor-only entry, left behind when the
+// byte budget evicts a cluster between its shard build and its AddFactor,
+// is a miss.
+func TestClusterStoreCountsOnlyReturnedClusters(t *testing.T) {
+	g := gen.Grid2D(4, 4, 1)
+	f, err := chol.New(lap.Laplacian(g, lap.Shift(g, 0)), chol.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, g.N)
+	for i := range idx {
+		idx[i] = i
+	}
+	for _, tc := range []struct {
+		name       string
+		fill       func(s *ClusterStore)
+		hit        bool
+		hits, miss int64
+	}{
+		{"absent", func(s *ClusterStore) {}, false, 0, 1},
+		{"edges", func(s *ClusterStore) { s.AddCluster("k", pairsOfSize(3)) }, true, 1, 0},
+		{"factor only", func(s *ClusterStore) { s.AddFactor("k", f, idx) }, false, 0, 1},
+		{"both", func(s *ClusterStore) {
+			s.AddCluster("k", pairsOfSize(3))
+			s.AddFactor("k", f, idx)
+		}, true, 1, 0},
+	} {
+		s := NewClusterStore(8, 0)
+		tc.fill(s)
+		_, ok := s.GetCluster("k")
+		if ok != tc.hit || s.Hits() != tc.hits || s.Misses() != tc.miss {
+			t.Errorf("%s: GetCluster ok=%v with hits=%d misses=%d, want ok=%v hits=%d misses=%d",
+				tc.name, ok, s.Hits(), s.Misses(), tc.hit, tc.hits, tc.miss)
+		}
+	}
+}

@@ -75,12 +75,6 @@ type Options struct {
 	// FleetOpts tunes the fleet dispatcher (deadlines, retries, hedging;
 	// zero values select fabric's defaults). Ignored when Fleet is empty.
 	FleetOpts fabric.Options
-	// RemoteFactors routes Schwarz per-cluster factorizations through the
-	// fleet as well: the exact overlap-extended pencil block ships to the
-	// worker already warm for the cluster and the validated factor comes
-	// back bit-identical to a local build, with per-cluster fallback to
-	// local factorization. Ignored when Fleet is empty.
-	RemoteFactors bool
 	// JobTimeout bounds one request's total wait — queueing plus work —
 	// per job (0 disables). A timed-out build keeps running in the
 	// background and still fills the cache; only the waiting request
@@ -346,10 +340,6 @@ func (e *Engine) resolveBuild(g *graph.Graph, fp Fingerprint, bo BuildOpts) (cor
 		// unconditionally never makes a build fail that would have
 		// succeeded locally.
 		cfg.Dispatcher = e.fleet
-		// Remote factor builds ride the same dispatcher (the Schwarz
-		// builder falls back to local factorization per cluster), so the
-		// flag is likewise safe to wire whenever it is on.
-		cfg.RemoteFactors = e.opts.RemoteFactors
 	}
 	key := fp.Key()
 	if threshold > 0 && g.N > threshold {
@@ -517,7 +507,6 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 	}
 	if ps := h.PrecondStats(); ps != nil && ps.Kind == precond.Schwarz.String() {
 		e.c.schwarzPreconds.Add(1)
-		e.c.factorsRemote.Add(int64(ps.FactorsRemote))
 	}
 	c.art = &Artifact{
 		Fingerprint: fp,

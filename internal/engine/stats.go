@@ -44,11 +44,6 @@ type Stats struct {
 	// ClustersRemote counts clusters whose construction a worker fleet
 	// answered, summed across sharded builds (0 on fleet-less engines).
 	ClustersRemote int64 `json:"clusters_remote"`
-	// FactorsRemote counts Schwarz per-cluster factors a worker fleet
-	// built, summed across builds (0 unless -remote-factors is on;
-	// clusters whose factor dispatch failed fall back locally and are
-	// not counted).
-	FactorsRemote int64 `json:"factors_remote"`
 	// Fleet is the worker-fleet telemetry — per-worker health and
 	// counters, degradation totals, remote latency — when a fleet is
 	// configured; absent otherwise.
@@ -121,7 +116,6 @@ type counters struct {
 	incrementalBuilds  atomic.Int64
 	clustersReused     atomic.Int64
 	clustersRemote     atomic.Int64
-	factorsRemote      atomic.Int64
 	solveBatches       atomic.Int64
 	solvesCoalesced    atomic.Int64
 	batchSizes         [batchSizeCap + 1]atomic.Int64
@@ -190,7 +184,6 @@ func (c *counters) snapshot() Stats {
 		IncrementalBuilds: c.incrementalBuilds.Load(),
 		ClustersReused:    c.clustersReused.Load(),
 		ClustersRemote:    c.clustersRemote.Load(),
-		FactorsRemote:     c.factorsRemote.Load(),
 		SolveBatches:      c.solveBatches.Load(),
 		SolvesCoalesced:   c.solvesCoalesced.Load(),
 		Jobs:              c.jobs.Load(),

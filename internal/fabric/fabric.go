@@ -22,6 +22,9 @@
 // Worker is the other end of the wire: the HTTP handler a
 // `trsparsed -worker` process serves, executing cluster builds against
 // its own cluster cache.
+//
+// The fleet builds cluster sparsifiers only. The coordinator factorizes
+// the preconditioner itself, on the machine that solves with it.
 package fabric
 
 import (

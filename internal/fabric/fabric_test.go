@@ -265,15 +265,22 @@ func TestWorkerCacheHit(t *testing.T) {
 }
 
 // TestWorkerRejectsMalformedPayloads drives the worker handler directly
-// with broken bodies and checks the structured 400s.
+// with broken bodies and checks the structured 400s: each counts one
+// failure and caches nothing. The factor-job case is what an older
+// coordinator with remote factors enabled sends (a "factor" block and no
+// cluster section); its 400 is what makes that coordinator fall back to
+// factorizing locally.
 func TestWorkerRejectsMalformedPayloads(t *testing.T) {
-	ts, _ := startWorker(t, nil, nil)
+	cache := newMapCache()
+	ts, w := startWorker(t, cache, nil)
 	for name, body := range map[string]string{
 		"not json":        `{"key":`,
 		"no vertices":     `{"key":"k","n":0,"vertices":[],"edges":[],"opts":{"method":0,"seed":1}}`,
 		"vertex mismatch": `{"key":"k","n":3,"vertices":[0,1],"edges":[[0,1,1],[1,2,1]],"opts":{"method":0,"seed":1}}`,
 		"float endpoint":  `{"key":"k","n":2,"vertices":[0,1],"edges":[[0,1.5,1]],"opts":{"method":0,"seed":1}}`,
+		"factor job":      `{"key":"k","factor":{"n":2,"colptr":[0,2,4],"rowidx":[0,1,0,1],"val":[2,-1,-1,2]}}`,
 	} {
+		before := w.Stats().Failures
 		resp, err := http.Post(ts.URL+"/v2/cluster", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
@@ -289,6 +296,12 @@ func TestWorkerRejectsMalformedPayloads(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_request" {
 			t.Fatalf("%s: status %d code %q, want 400 invalid_request", name, resp.StatusCode, e.Code)
 		}
+		if got := w.Stats().Failures - before; got != 1 {
+			t.Fatalf("%s: counted %d failures, want 1", name, got)
+		}
+	}
+	if st := w.Stats(); st.Served != 0 || len(cache.m) != 0 {
+		t.Fatalf("rejected payloads served %d clusters and cached %d entries", st.Served, len(cache.m))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gen"
-	"repro/internal/precond"
 	"repro/internal/sparsify"
 )
 
@@ -120,12 +119,8 @@ func (fp *faultProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 
 // corrupt rewrites a successful worker response into one that parses (or
 // deliberately doesn't) but must be rejected by the coordinator's
-// validation. Every corruption here is *detectable by design* —
-// structural damage, foreign or duplicated edges, a broken SPD witness.
-// A value-level corruption that keeps the factor SPD is undetectable by
-// construction and is out of scope: the fabric trusts its workers on
-// values exactly as far as the FactorCache staleness contract already
-// does (see precond.FactorCache).
+// validation. Every corruption here is *detectable by design*: foreign,
+// duplicated or missing edges.
 func (fp *faultProxy) corrupt(rw http.ResponseWriter, rec *httptest.ResponseRecorder, k uint64) {
 	if rec.Code != http.StatusOK {
 		// Pass error responses through; there is nothing to corrupt.
@@ -139,31 +134,13 @@ func (fp *faultProxy) corrupt(rw http.ResponseWriter, rec *httptest.ResponseReco
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")
-	if cr.Factor != nil {
-		switch fp.mix(k, 2) % 4 {
-		case 0: // nonpositive diagonal: the SPD witness fails
-			cr.Factor.Val[0] = -cr.Factor.Val[0]
-		case 1: // dimension lie: block-size check fails
-			cr.Factor.N++
-		case 2: // duplicate permutation entry: not a permutation
-			if cr.Factor.N >= 2 {
-				cr.Factor.Perm[0] = cr.Factor.Perm[1]
-			} else {
-				cr.Factor.Perm[0] = cr.Factor.N + 7
-			}
-		case 3: // garbage bytes: decode fails outright
-			rw.Write([]byte(`{"factor":{"n":`))
-			return
-		}
-	} else {
-		switch fp.mix(k, 2) % 3 {
-		case 0: // duplicated edge
-			cr.Edges = append(cr.Edges, cr.Edges[0])
-		case 1: // foreign endpoint
-			cr.Edges[0] = [2]int{0, 1 << 30}
-		case 2: // too few edges to span the cluster
-			cr.Edges = cr.Edges[:1]
-		}
+	switch fp.mix(k, 2) % 3 {
+	case 0: // duplicated edge
+		cr.Edges = append(cr.Edges, cr.Edges[0])
+	case 1: // foreign endpoint
+		cr.Edges[0] = [2]int{0, 1 << 30}
+	case 2: // too few edges to span the cluster
+		cr.Edges = cr.Edges[:1]
 	}
 	buf, err := json.Marshal(&cr)
 	if err != nil {
@@ -334,95 +311,5 @@ func TestSeededMixedFaultsStayBitIdentical(t *testing.T) {
 				t.Fatal("seeded proxies injected nothing at rate 0.4")
 			}
 		})
-	}
-}
-
-// TestRemoteFactorsMatchLocal pins the tentpole guarantee of remote
-// factor builds: a Schwarz preconditioner whose per-cluster factors were
-// built by the fleet is bit-identical to one factorized in-process —
-// same sparsifier, same PCG iteration count — because the exact
-// post-stitch pencil block travels to the worker and float64 survives
-// JSON round-trips exactly.
-func TestRemoteFactorsMatchLocal(t *testing.T) {
-	base := faultCfg()
-	base.Precond = precond.Schwarz
-	want, wantIters := buildAndSolve(t, base)
-
-	w1, _ := startWorker(t, newMapCache(), nil)
-	w2, _ := startWorker(t, newMapCache(), nil)
-	remote := fabric.NewRemote([]string{w1.URL, w2.URL}, fabric.Options{})
-	cfg := base
-	cfg.Dispatcher = remote
-	cfg.RemoteFactors = true
-	got, gotIters := buildAndSolve(t, cfg)
-
-	sameSparsifier(t, "remote-factors", want, got)
-	if gotIters != wantIters {
-		t.Fatalf("PCG iterations differ with remote factors: %d vs %d", gotIters, wantIters)
-	}
-	ps := got.PrecondStats()
-	if ps == nil || ps.FactorsRemote == 0 {
-		t.Fatalf("no factors counted as remote: %+v", ps)
-	}
-	st := remote.Stats()
-	if st.RemoteFactors == 0 || st.FactorMisses != 0 {
-		t.Fatalf("dispatcher factor accounting wrong: %+v", st)
-	}
-	if int64(ps.FactorsRemote) != st.RemoteFactors {
-		t.Fatalf("builder counted %d remote factors, dispatcher %d", ps.FactorsRemote, st.RemoteFactors)
-	}
-}
-
-// TestCorruptFactorsFallBackLocally: every corrupted factor payload must
-// be caught by validation (structure, dimension, SPD witness) and the
-// Schwarz builder must fall back to factorizing the block in-process —
-// ending in a bit-identical preconditioner, with the misses accounted.
-func TestCorruptFactorsFallBackLocally(t *testing.T) {
-	base := faultCfg()
-	base.Precond = precond.Schwarz
-	want, wantIters := buildAndSolve(t, base)
-
-	// This wrapper corrupts only factor responses; cluster builds sail
-	// through untouched, so the sparsifier itself is served remotely and
-	// the fallback under test is precisely the factor path's.
-	w := fabric.NewWorker(newMapCache(), 2)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/cluster", w.ServeCluster)
-	fp := newFaultProxy(t, mux, faultCorrupt, 1, 99)
-	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, r)
-		var cr fabric.ClusterResponse
-		if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &cr) == nil && cr.Factor != nil {
-			fp.corrupt(rw, rec, fp.n.Add(1)-1)
-			fp.injected.Add(1)
-			return
-		}
-		rw.Header().Set("Content-Type", "application/json")
-		rw.WriteHeader(rec.Code)
-		rw.Write(rec.Body.Bytes())
-	}))
-	t.Cleanup(ts.Close)
-
-	remote := fabric.NewRemote([]string{ts.URL}, fabric.Options{Retries: -1, Backoff: time.Millisecond})
-	cfg := base
-	cfg.Dispatcher = remote
-	cfg.RemoteFactors = true
-	got, gotIters := buildAndSolve(t, cfg)
-
-	sameSparsifier(t, "corrupt-factors", want, got)
-	if gotIters != wantIters {
-		t.Fatalf("PCG iterations differ after factor fallback: %d vs %d", gotIters, wantIters)
-	}
-	ps := got.PrecondStats()
-	if ps == nil || ps.FactorsRemote != 0 {
-		t.Fatalf("corrupted factors were adopted: %+v", ps)
-	}
-	st := remote.Stats()
-	if st.RemoteFactors != 0 || st.FactorMisses == 0 {
-		t.Fatalf("factor degradation not accounted: %+v", st)
-	}
-	if fp.injected.Load() == 0 {
-		t.Fatal("no factor payloads were corrupted — remote factor path never ran")
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chol"
-	"repro/internal/precond"
 	"repro/internal/shard"
 	"repro/internal/tdigest"
 )
@@ -150,9 +148,9 @@ func (m *member) noteFailure(err error, failAfter int, probeAfter time.Duration)
 // to workers over HTTP/JSON with rendezvous-hashed placement on the
 // cluster fingerprint, per-attempt deadlines, bounded retries with
 // backoff, hedged dispatch for stragglers, and graceful degradation to
-// the in-process fallback. It also implements precond.FactorDispatcher
-// (remote Schwarz factor builds over the same wire, placement, and retry
-// machinery). Safe for concurrent use.
+// the in-process fallback. It only builds clusters: preconditioner
+// factors are always computed in-process by the coordinator that solves
+// with them. Safe for concurrent use.
 type Remote struct {
 	opts Options
 
@@ -168,13 +166,11 @@ type Remote struct {
 	curUp   []string // sorted up-set of the current epoch
 	prevUp  []string // sorted up-set of the previous epoch
 
-	remoteOK      atomic.Int64
-	fallbacks     atomic.Int64
-	remoteFactors atomic.Int64
-	factorMisses  atomic.Int64
-	peerFetches   atomic.Int64
-	peerHits      atomic.Int64
-	latency       tdigest.Recorder
+	remoteOK    atomic.Int64
+	fallbacks   atomic.Int64
+	peerFetches atomic.Int64
+	peerHits    atomic.Int64
+	latency     tdigest.Recorder
 }
 
 // NewRemote creates a dispatcher over the given worker base URLs
@@ -241,8 +237,6 @@ func (r *Remote) Stats() *Stats {
 	s := &Stats{
 		RemoteClusters: r.remoteOK.Load(),
 		FallbackLocal:  r.fallbacks.Load(),
-		RemoteFactors:  r.remoteFactors.Load(),
-		FactorMisses:   r.factorMisses.Load(),
 		PeerFetches:    r.peerFetches.Load(),
 		PeerHits:       r.peerHits.Load(),
 	}
@@ -395,9 +389,7 @@ func (r *Remote) Dispatch(ctx context.Context, req *shard.ClusterRequest) (*shar
 		if a > 0 {
 			primary.retried.Add(1)
 		}
-		res, err := raceAttempt(r, ctx, primary, hedge, func(actx context.Context, m *member) (*shard.ClusterResult, error) {
-			return r.call(actx, m, req, body, valid)
-		})
+		res, err := r.raceAttempt(ctx, primary, hedge, req, body, valid)
 		if err == nil {
 			r.remoteOK.Add(1)
 			return res, nil
@@ -419,74 +411,19 @@ func (r *Remote) Dispatch(ctx context.Context, req *shard.ClusterRequest) (*shar
 	return res, nil
 }
 
-// DispatchFactor implements precond.FactorDispatcher: ship a cluster's
-// exact pencil block to its rendezvous-ranked worker (the one already
-// warm with the cluster's build) and validate the returned factor —
-// structure, dimensions, SPD witness — before handing it to the Schwarz
-// builder. There is no local fallback here: the builder itself falls
-// back to factorizing the block in-process on any error, so this only
-// reports why the fleet could not answer.
-func (r *Remote) DispatchFactor(ctx context.Context, req *precond.FactorRequest) (*chol.Factor, error) {
-	ranked := r.rank(req.Key)
-	if len(ranked) == 0 {
-		r.factorMisses.Add(1)
-		return nil, errors.New("fabric: no fleet workers up")
-	}
-	body, err := (&ClusterPayload{Key: req.Key, Factor: factorSpecOf(req.Sub)}).AppendJSON(nil)
-	if err != nil {
-		r.factorMisses.Add(1)
-		return nil, fmt.Errorf("fabric: encoding factor payload for cluster %d: %v", req.Cluster, err)
-	}
-	var lastErr error
-	for a := 0; a <= r.opts.Retries; a++ {
-		if a > 0 {
-			d := r.opts.Backoff << (a - 1)
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				r.factorMisses.Add(1)
-				return nil, ctx.Err()
-			}
-		}
-		primary := ranked[a%len(ranked)]
-		var hedge *member
-		if h := ranked[(a+1)%len(ranked)]; h != primary {
-			hedge = h
-		}
-		if a > 0 {
-			primary.retried.Add(1)
-		}
-		f, err := raceAttempt(r, ctx, primary, hedge, func(actx context.Context, m *member) (*chol.Factor, error) {
-			return r.callFactor(actx, m, req, body)
-		})
-		if err == nil {
-			r.remoteFactors.Add(1)
-			return f, nil
-		}
-		if ctx.Err() != nil {
-			r.factorMisses.Add(1)
-			return nil, ctx.Err()
-		}
-		lastErr = err
-	}
-	r.factorMisses.Add(1)
-	return nil, lastErr
-}
-
 // raceAttempt runs one bounded try against primary, hedging to hedge
 // when configured: first success wins and cancels the other request.
 // When the race resolves with the loser still in flight, the loser's
 // member gets a hedged_wasted mark — its work (and any late success that
 // unwinds into the buffered channel) is discarded. A canceled loser is
 // never a failure: losing a race says nothing about the worker's health.
-func raceAttempt[T any](r *Remote, ctx context.Context, primary, hedge *member, do func(ctx context.Context, m *member) (T, error)) (T, error) {
-	var zero T
+func (r *Remote) raceAttempt(ctx context.Context, primary, hedge *member, req *shard.ClusterRequest, body []byte, valid map[[2]int]bool) (*shard.ClusterResult, error) {
 	actx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
 	defer cancel()
 
 	type outcome struct {
 		m   *member
-		res T
+		res *shard.ClusterResult
 		err error
 	}
 	ch := make(chan outcome, 2)
@@ -496,14 +433,14 @@ func raceAttempt[T any](r *Remote, ctx context.Context, primary, hedge *member, 
 			m.hedged.Add(1)
 		}
 		start := time.Now()
-		res, err := do(actx, m)
+		res, err := r.call(actx, m, req, body, valid)
 		if err != nil {
 			// A canceled request lost the hedge race (or the caller went
 			// away) — that is not the worker's failure to note.
 			if !errors.Is(err, context.Canceled) {
 				m.noteFailure(err, r.opts.FailAfter, r.opts.ProbeAfter)
 			}
-			ch <- outcome{m, zero, err}
+			ch <- outcome{m, nil, err}
 			return
 		}
 		m.noteSuccess()
@@ -541,7 +478,7 @@ func raceAttempt[T any](r *Remote, ctx context.Context, primary, hedge *member, 
 			}
 			lastErr = o.err
 			if inflight == 0 {
-				return zero, lastErr
+				return nil, lastErr
 			}
 			// The other request (hedge or primary) is still in flight;
 			// it may yet win.
@@ -552,15 +489,15 @@ func raceAttempt[T any](r *Remote, ctx context.Context, primary, hedge *member, 
 		case <-actx.Done():
 			// Attempt deadline or caller cancellation. In-flight calls
 			// unwind into the buffered channel; nothing leaks.
-			return zero, actx.Err()
+			return nil, actx.Err()
 		}
 	}
 }
 
-// exchange performs one POST /v2/cluster round trip with a worker and
-// decodes the response envelope; result-shape validation is the
-// caller's.
-func (r *Remote) exchange(ctx context.Context, m *member, body []byte) (*ClusterResponse, error) {
+// call performs one POST /v2/cluster round trip with a worker and
+// validates the result before it is allowed anywhere near the stitched
+// sparsifier.
+func (r *Remote) call(ctx context.Context, m *member, req *shard.ClusterRequest, body []byte, valid map[[2]int]bool) (*shard.ClusterResult, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, m.url+"/v2/cluster", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("fabric: %s: %w", m.url, err)
@@ -581,17 +518,7 @@ func (r *Remote) exchange(ctx context.Context, m *member, body []byte) (*Cluster
 	if err := json.NewDecoder(io.LimitReader(resp.Body, maxClusterBody)).Decode(&cr); err != nil {
 		return nil, fmt.Errorf("fabric: %s: decoding result: %w", m.url, err)
 	}
-	return &cr, nil
-}
-
-// call performs one cluster-build exchange with a worker and validates
-// the result before it is allowed anywhere near the stitched sparsifier.
-func (r *Remote) call(ctx context.Context, m *member, req *shard.ClusterRequest, body []byte, valid map[[2]int]bool) (*shard.ClusterResult, error) {
-	cr, err := r.exchange(ctx, m, body)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateResult(req, cr, valid); err != nil {
+	if err := validateResult(req, &cr, valid); err != nil {
 		return nil, fmt.Errorf("fabric: %s: malformed result: %w", m.url, err)
 	}
 	switch cr.PeerFetch {
@@ -602,27 +529,6 @@ func (r *Remote) call(ctx context.Context, m *member, req *shard.ClusterRequest,
 		r.peerFetches.Add(1)
 	}
 	return &shard.ClusterResult{Edges: cr.Edges, Stats: cr.Stats, Remote: true}, nil
-}
-
-// callFactor performs one factor-job exchange and validates the returned
-// factor: present, structurally sound with a positive finite diagonal
-// (chol.FromParts — the SPD witness), and of the block's exact dimension.
-func (r *Remote) callFactor(ctx context.Context, m *member, req *precond.FactorRequest, body []byte) (*chol.Factor, error) {
-	cr, err := r.exchange(ctx, m, body)
-	if err != nil {
-		return nil, err
-	}
-	if cr.Factor == nil {
-		return nil, fmt.Errorf("fabric: %s: factor job returned no factor", m.url)
-	}
-	f, err := cr.Factor.factor()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: %s: malformed factor: %w", m.url, err)
-	}
-	if f.N != len(req.Idx) {
-		return nil, fmt.Errorf("fabric: %s: factor dimension %d, block has %d", m.url, f.N, len(req.Idx))
-	}
-	return f, nil
 }
 
 // validPairs builds the set of admissible global endpoint pairs for a

@@ -40,14 +40,6 @@ type Stats struct {
 	// capacity silently moved back onto the coordinator.
 	RemoteClusters int64 `json:"remote_clusters"`
 	FallbackLocal  int64 `json:"fallback_local"`
-	// RemoteFactors counts Schwarz factor blocks the fleet factorized;
-	// FactorMisses the factor dispatches that failed (fleet down, retries
-	// exhausted, validation rejected the factor) and fell back to a local
-	// factorization inside the Schwarz builder. Like FallbackLocal, a
-	// nonzero FactorMisses means the build succeeded with capacity
-	// silently back on the coordinator.
-	RemoteFactors int64 `json:"remote_factors"`
-	FactorMisses  int64 `json:"factor_misses"`
 	// PeerFetches counts one-hop peer cache fetches workers reported
 	// attempting after a membership change moved a key; PeerHits the ones
 	// the previous owner served (no rebuild). MembershipEpoch is the

@@ -2,12 +2,9 @@ package fabric
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/chol"
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/sparse"
 	"repro/internal/sparsify"
 	"repro/internal/wire"
 )
@@ -22,8 +19,8 @@ import (
 //
 // The payload travels through the wire codec (AppendJSON and
 // decodePayload), as a JSON object with the keys key, n, vertices,
-// edges (as [u, v, w] triples), opts, and — omitted when zero — epoch,
-// prev_owner and factor.
+// edges (as [u, v, w] triples), opts, and — omitted when zero — epoch
+// and prev_owner.
 type ClusterPayload struct {
 	// Key is the cluster fingerprint (shard.ClusterKey).
 	Key string
@@ -47,18 +44,11 @@ type ClusterPayload struct {
 	// serve a wrong-key result.
 	Epoch     int64
 	PrevOwner string
-	// Factor, when non-nil, makes this a factorization job instead of a
-	// cluster build: the worker runs the deterministic sparse Cholesky on
-	// the shipped block and returns the serialized factor. Factor jobs
-	// carry no cluster section (N = 0, no edges) — the block already
-	// includes the overlap rows, which are assembled from the stitched
-	// global pencil that only the coordinator holds.
-	Factor *FactorSpec
 }
 
 // AppendJSON appends the payload's JSON encoding to b. It fails on a
-// non-finite float: an edge weight, or one in the opts or factor blocks,
-// which go through encoding/json.
+// non-finite float: an edge weight, or one in the opts block, which goes
+// through encoding/json.
 func (p *ClusterPayload) AppendJSON(b []byte) ([]byte, error) {
 	e := wire.NewEncoder()
 	defer e.Release()
@@ -80,10 +70,6 @@ func (p *ClusterPayload) AppendJSON(b []byte) ([]byte, error) {
 		e.Raw(`,"prev_owner":`)
 		e.String(p.PrevOwner)
 	}
-	if p.Factor != nil {
-		e.Raw(`,"factor":`)
-		e.JSON(p.Factor)
-	}
 	e.Raw(`}`)
 	if err := e.Err(); err != nil {
 		return b, err
@@ -91,8 +77,8 @@ func (p *ClusterPayload) AppendJSON(b []byte) ([]byte, error) {
 	return append(b, e.Bytes()...), nil
 }
 
-// decodePayload decodes a POST /v2/cluster body into p. Opts and Factor
-// stay on encoding/json.
+// decodePayload decodes a POST /v2/cluster body into p. Opts stays on
+// encoding/json.
 func decodePayload(data []byte, p *ClusterPayload) error {
 	d := wire.NewDecoder(data)
 	return d.Decode(func(key []byte) error {
@@ -111,86 +97,9 @@ func decodePayload(data []byte, p *ClusterPayload) error {
 			return d.Int64(&p.Epoch)
 		case wire.Key(key, "prev_owner"):
 			return d.String(&p.PrevOwner)
-		case wire.Key(key, "factor"):
-			return d.JSON(&p.Factor)
 		}
 		return d.Skip()
 	})
-}
-
-// FactorSpec is the SPD block of one remote factorization job: the
-// cluster's overlap-extended principal submatrix of the stitched pencil,
-// in full symmetric CSC storage. Values travel as JSON float64, which Go
-// round-trips exactly (shortest-representation encoding), so the worker
-// factorizes bit-for-bit the same matrix the coordinator would have.
-type FactorSpec struct {
-	N      int       `json:"n"`
-	ColPtr []int     `json:"colptr"`
-	RowIdx []int     `json:"rowidx"`
-	Val    []float64 `json:"val"`
-}
-
-// factorSpecOf serializes a block for transport.
-func factorSpecOf(a *sparse.CSC) *FactorSpec {
-	return &FactorSpec{N: a.Cols, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: a.Val}
-}
-
-// csc validates the spec's shape and reassembles the block. Symmetry and
-// positive definiteness are not checked here; the factorization itself
-// rejects non-SPD input (chol.ErrNotPD).
-func (fs *FactorSpec) csc() (*sparse.CSC, error) {
-	n := fs.N
-	if n < 1 {
-		return nil, fmt.Errorf("factor block dimension %d", n)
-	}
-	if len(fs.ColPtr) != n+1 || fs.ColPtr[0] != 0 {
-		return nil, fmt.Errorf("factor block has %d column pointers for n=%d", len(fs.ColPtr), n)
-	}
-	nnz := fs.ColPtr[n]
-	if len(fs.RowIdx) != nnz || len(fs.Val) != nnz {
-		return nil, fmt.Errorf("factor block storage misaligned (%d pointers vs %d/%d entries)",
-			nnz, len(fs.RowIdx), len(fs.Val))
-	}
-	for j := 0; j < n; j++ {
-		if fs.ColPtr[j+1] < fs.ColPtr[j] {
-			return nil, fmt.Errorf("factor block column %d has decreasing pointers", j)
-		}
-	}
-	for _, i := range fs.RowIdx {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("factor block row index %d outside n=%d", i, n)
-		}
-	}
-	for _, v := range fs.Val {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			return nil, fmt.Errorf("factor block has non-finite entry %g", v)
-		}
-	}
-	return &sparse.CSC{Rows: n, Cols: n, ColPtr: fs.ColPtr, RowIdx: fs.RowIdx, Val: fs.Val}, nil
-}
-
-// WireFactor is a serialized chol.Factor: the lower-triangular factor L
-// (diagonal first per column, chol.New's layout) plus the fill-reducing
-// permutation. The inverse permutation is deliberately absent — the
-// receiver recomputes it rather than trusting the wire.
-type WireFactor struct {
-	N      int       `json:"n"`
-	Perm   []int     `json:"perm"`
-	ColPtr []int     `json:"colptr"`
-	RowIdx []int     `json:"rowidx"`
-	Val    []float64 `json:"val"`
-}
-
-// wireFactorOf serializes a factor for transport.
-func wireFactorOf(f *chol.Factor) *WireFactor {
-	return &WireFactor{N: f.N, Perm: f.Perm, ColPtr: f.L.ColPtr, RowIdx: f.L.RowIdx, Val: f.L.Val}
-}
-
-// factor reassembles and validates the factor (chol.FromParts performs
-// the full structural and SPD-witness validation).
-func (wf *WireFactor) factor() (*chol.Factor, error) {
-	l := &sparse.CSC{Rows: wf.N, Cols: wf.N, ColPtr: wf.ColPtr, RowIdx: wf.RowIdx, Val: wf.Val}
-	return chol.FromParts(wf.N, l, wf.Perm)
 }
 
 // WireOptions is the construction parameter block as it travels to a
@@ -286,10 +195,9 @@ func (p *ClusterPayload) clusterRequest() (*shard.ClusterRequest, error) {
 // ClusterResponse is the POST /v2/cluster response body: the cluster's
 // sparsifier as global endpoint pairs — the index-free representation
 // the cluster caches store — plus construction stats (durations in
-// nanoseconds). Factor jobs (ClusterPayload.Factor set) return the
-// serialized factor instead of edges. GET /v2/cluster/{key} peer fetches
-// return the cached edges with Key echoed so the fetcher can verify it
-// got the entry it asked for.
+// nanoseconds). GET /v2/cluster/{key} peer fetches return the cached
+// edges with Key echoed so the fetcher can verify it got the entry it
+// asked for.
 type ClusterResponse struct {
 	Edges [][2]int       `json:"edges,omitempty"`
 	Stats sparsify.Stats `json:"stats"`
@@ -299,8 +207,6 @@ type ClusterResponse struct {
 	// Key echoes the request's cluster fingerprint on peer-fetch (GET)
 	// responses.
 	Key string `json:"key,omitempty"`
-	// Factor is the serialized Cholesky factor of a factor job's block.
-	Factor *WireFactor `json:"factor,omitempty"`
 	// PeerFetch reports what the worker's one-hop peer fetch did for this
 	// request: "hit" (the previous owner served the entry, no rebuild) or
 	// "miss" (fetch attempted, fell through to a normal build). Empty
@@ -326,10 +232,6 @@ func (cr *ClusterResponse) appendJSON(e *wire.Encoder) {
 	if cr.Key != "" {
 		e.Raw(`,"key":`)
 		e.String(cr.Key)
-	}
-	if cr.Factor != nil {
-		e.Raw(`,"factor":`)
-		e.JSON(cr.Factor)
 	}
 	if cr.PeerFetch != "" {
 		e.Raw(`,"peer_fetch":`)

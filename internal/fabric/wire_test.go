@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/shard"
-	"repro/internal/sparse"
 	"repro/internal/sparsify"
 	"repro/internal/wire"
 )
@@ -26,7 +25,6 @@ type oldPayload struct {
 	Opts      WireOptions  `json:"opts"`
 	Epoch     int64        `json:"epoch,omitempty"`
 	PrevOwner string       `json:"prev_owner,omitempty"`
-	Factor    *FactorSpec  `json:"factor,omitempty"`
 }
 
 // clusterRequest is the conversion the worker ran on oldPayload.
@@ -70,8 +68,7 @@ func checkPayload(t *testing.T, body []byte) {
 		return
 	}
 	if old.Key != got.Key || old.N != got.N || old.Epoch != got.Epoch || old.PrevOwner != got.PrevOwner ||
-		!reflect.DeepEqual(old.Vertices, got.Vertices) || !reflect.DeepEqual(old.Opts, got.Opts) ||
-		!reflect.DeepEqual(old.Factor, got.Factor) {
+		!reflect.DeepEqual(old.Vertices, got.Vertices) || !reflect.DeepEqual(old.Opts, got.Opts) {
 		t.Fatalf("%q: fields differ:\nencoding/json %+v\ncodec         %+v", body, old, got)
 	}
 	if (old.Edges == nil) != (got.Edges.List == nil) || len(old.Edges) != len(got.Edges.List) {
@@ -126,22 +123,20 @@ func FuzzDecodeClusterPayload(f *testing.F) {
 }
 
 // TestPayloadEncodingMatchesMarshal: AppendJSON renders the bytes
-// json.Marshal gave for the old payload struct, for cluster jobs (with
-// and without peer-fetch metadata) and factor jobs.
+// json.Marshal gave for the old payload struct, with and without
+// peer-fetch metadata.
 func TestPayloadEncodingMatchesMarshal(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1, W: 0.7169828444088467}, {U: 1, V: 2, W: 1e-7}, {U: 0, V: 2, W: 3}}
 	opts := wireOptions(sparsify.Options{Alpha: 0.05, Rounds: 5, Seed: 42})
-	spec := factorSpecOf(&sparse.CSC{Rows: 1, Cols: 1, ColPtr: []int{0, 1}, RowIdx: []int{0}, Val: []float64{2.5}})
 	for _, p := range []*ClusterPayload{
 		{Key: "c1", N: 3, Vertices: []int{7, 3, 9}, Edges: wire.Edges{List: edges}, Opts: opts},
 		{Key: "c2", N: 3, Vertices: []int{7, 3, 9}, Edges: wire.Edges{List: edges}, Opts: opts, Epoch: 4, PrevOwner: "http://127.0.0.1:1"},
-		{Key: "f", Factor: spec},
 	} {
 		got, err := p.AppendJSON(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		old := oldPayload{Key: p.Key, N: p.N, Vertices: p.Vertices, Opts: p.Opts, Epoch: p.Epoch, PrevOwner: p.PrevOwner, Factor: p.Factor}
+		old := oldPayload{Key: p.Key, N: p.N, Vertices: p.Vertices, Opts: p.Opts, Epoch: p.Epoch, PrevOwner: p.PrevOwner}
 		if p.Edges.List != nil {
 			old.Edges = make([][3]float64, len(p.Edges.List))
 			for i, e := range p.Edges.List {
@@ -166,12 +161,10 @@ func TestPayloadEncodingMatchesMarshal(t *testing.T) {
 // is byte-identical to json.Marshal of ClusterResponse.
 func TestClusterResponseMatchesMarshal(t *testing.T) {
 	stats := sparsify.Stats{TreeTime: time.Millisecond, Total: 3 * time.Millisecond, Rounds: 5}
-	wf := &WireFactor{N: 1, Perm: []int{0}, ColPtr: []int{0, 1}, RowIdx: []int{0}, Val: []float64{1.5}}
 	for _, cr := range []ClusterResponse{
 		{Edges: [][2]int{{0, 1}, {4, 2}}, Stats: stats},
 		{Edges: [][2]int{{0, 1}}, Cached: true, Key: "k", PeerFetch: "hit"},
 		{Edges: [][2]int{}, Stats: stats, PeerFetch: "miss"},
-		{Key: "k", Factor: wf},
 		{},
 	} {
 		e := wire.NewEncoder()

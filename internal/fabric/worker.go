@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chol"
 	"repro/internal/shard"
 	"repro/internal/wire"
 )
@@ -50,21 +49,18 @@ type WorkerOptions struct {
 // and results are cached by cluster fingerprint when a cache is
 // configured — rendezvous placement keys on the same fingerprint, so a
 // rebuild of a mostly-unchanged graph lands its unchanged clusters on
-// the workers that already hold them. The same handler serves factor
-// jobs (ClusterPayload.Factor set): a deterministic sparse Cholesky of
-// the shipped block, returned serialized.
+// the workers that already hold them.
 type Worker struct {
 	cache shard.ClusterCache // nil disables worker-side caching
 	opts  WorkerOptions
 	sem   chan struct{}
 
-	served       atomic.Int64
-	cacheHits    atomic.Int64
-	failures     atomic.Int64
-	factorsBuilt atomic.Int64
-	peerFetches  atomic.Int64
-	peerHits     atomic.Int64
-	peerServed   atomic.Int64
+	served      atomic.Int64
+	cacheHits   atomic.Int64
+	failures    atomic.Int64
+	peerFetches atomic.Int64
+	peerHits    atomic.Int64
+	peerServed  atomic.Int64
 }
 
 // NewWorker creates a worker executing at most workers concurrent
@@ -94,9 +90,6 @@ type WorkerStatsSnapshot struct {
 	Served    int64 `json:"clusters_served"`
 	CacheHits int64 `json:"cluster_cache_hits"`
 	Failures  int64 `json:"cluster_failures"`
-	// FactorsBuilt counts factor jobs served (remote Schwarz blocks
-	// factorized for a coordinator).
-	FactorsBuilt int64 `json:"factors_built"`
 	// PeerFetches counts peer cache fetches this worker attempted after
 	// a membership change moved a key onto it; PeerHits the ones the
 	// previous owner answered. PeerServed counts GET /v2/cluster/{key}
@@ -109,32 +102,26 @@ type WorkerStatsSnapshot struct {
 // Stats snapshots the worker's counters.
 func (w *Worker) Stats() WorkerStatsSnapshot {
 	return WorkerStatsSnapshot{
-		Served:       w.served.Load(),
-		CacheHits:    w.cacheHits.Load(),
-		Failures:     w.failures.Load(),
-		FactorsBuilt: w.factorsBuilt.Load(),
-		PeerFetches:  w.peerFetches.Load(),
-		PeerHits:     w.peerHits.Load(),
-		PeerServed:   w.peerServed.Load(),
+		Served:      w.served.Load(),
+		CacheHits:   w.cacheHits.Load(),
+		Failures:    w.failures.Load(),
+		PeerFetches: w.peerFetches.Load(),
+		PeerHits:    w.peerHits.Load(),
+		PeerServed:  w.peerServed.Load(),
 	}
 }
 
 // ServeCluster is the POST /v2/cluster handler: decode one payload and
-// serve it — a factor job through the factorization path, a cluster
-// build from the local cache on a fingerprint hit, via a one-hop peer
-// fetch when membership movement metadata is present, or by building it
-// (bounded by the worker semaphore, canceled when the coordinator gives
-// up — a hedge loser stops burning the worker's CPU) and caching the
-// result.
+// serve it — from the local cache on a fingerprint hit, via a one-hop
+// peer fetch when membership movement metadata is present, or by
+// building it (bounded by the worker semaphore, canceled when the
+// coordinator gives up — a hedge loser stops burning the worker's CPU)
+// and caching the result.
 func (w *Worker) ServeCluster(rw http.ResponseWriter, r *http.Request) {
 	var p ClusterPayload
 	if err := readPayload(rw, r, &p); err != nil {
 		w.failures.Add(1)
 		writeWorkerErr(rw, http.StatusBadRequest, "invalid_request", fmt.Errorf("decoding cluster payload: %w", err))
-		return
-	}
-	if p.Factor != nil {
-		w.serveFactor(rw, r, &p)
 		return
 	}
 	req, err := p.clusterRequest()
@@ -189,42 +176,6 @@ func (w *Worker) ServeCluster(rw http.ResponseWriter, r *http.Request) {
 	}
 	w.served.Add(1)
 	writeWorkerJSON(rw, http.StatusOK, ClusterResponse{Edges: res.Edges, Stats: res.Stats, PeerFetch: peerFetch})
-}
-
-// serveFactor handles a factorization job: reassemble the shipped block,
-// run the deterministic sparse Cholesky under the worker semaphore, and
-// return the serialized factor. Factors are not cached worker-side — the
-// coordinator's FactorCache already deduplicates across rebuilds, and a
-// block's values change whenever neighboring clusters' stitch decisions
-// do, so the fingerprint alone cannot prove a cached factor current.
-func (w *Worker) serveFactor(rw http.ResponseWriter, r *http.Request, p *ClusterPayload) {
-	sub, err := p.Factor.csc()
-	if err != nil {
-		w.failures.Add(1)
-		writeWorkerErr(rw, http.StatusBadRequest, "invalid_request", err)
-		return
-	}
-	ctx := r.Context()
-	select {
-	case w.sem <- struct{}{}:
-		defer func() { <-w.sem }()
-	case <-ctx.Done():
-		w.failures.Add(1)
-		writeWorkerErr(rw, http.StatusServiceUnavailable, "canceled", ctx.Err())
-		return
-	}
-	f, err := chol.New(sub, chol.Options{})
-	if err != nil {
-		w.failures.Add(1)
-		status, code := http.StatusUnprocessableEntity, "not_spd"
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			status, code = http.StatusServiceUnavailable, "canceled"
-		}
-		writeWorkerErr(rw, status, code, err)
-		return
-	}
-	w.factorsBuilt.Add(1)
-	writeWorkerJSON(rw, http.StatusOK, ClusterResponse{Key: p.Key, Factor: wireFactorOf(f)})
 }
 
 // peerFetch tries the one-hop cache fetch against the previous owner the

@@ -18,7 +18,6 @@
 package precond
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -90,12 +89,6 @@ type Stats struct {
 	// factor cache instead of being refactorized (0 for monolithic or
 	// cache-less builds).
 	FactorsReused int
-	// FactorsRemote counts per-cluster Schwarz factors built by a remote
-	// fabric worker through the FactorDispatcher (0 for monolithic,
-	// dispatcher-less, or fully-fallback builds). Clusters the dispatcher
-	// could not serve — fleet down, validation rejected the returned
-	// factor — fall back to a local factorization and are not counted.
-	FactorsRemote int
 	// FactorNNZ totals the nonzeros across all sparse factors (the one
 	// monolithic factor, or every per-cluster factor).
 	FactorNNZ int64
@@ -147,41 +140,6 @@ func (monolithicBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 // ErrBadAssignment is returned by the Schwarz builder when the cluster
 // assignment does not cover the matrix.
 var ErrBadAssignment = errors.New("precond: cluster assignment does not match matrix dimension")
-
-// FactorRequest is one cluster's factorization job as the Schwarz
-// builder hands it to a FactorDispatcher: the cluster's fingerprint (the
-// remote placement key — the same key that routed the cluster's
-// sparsifier build, so the factor job lands on the worker already warm
-// for this cluster), its extended global index set, and the exact
-// principal submatrix of the stitched pencil to factorize. Shipping the
-// assembled block — overlap rows included — rather than asking the
-// worker to re-derive it is what keeps remote factors bit-identical to
-// local ones: the block depends on neighboring clusters' sparsifiers and
-// stitch decisions, which only the coordinator knows.
-type FactorRequest struct {
-	// Key is the cluster fingerprint (shard.ClusterKey).
-	Key string
-	// Cluster is the cluster id (diagnostics only).
-	Cluster int
-	// Idx is the extended (sorted, global) index set; len(Idx) is the
-	// block dimension.
-	Idx []int
-	// Sub is the principal submatrix A[Idx, Idx] of the pencil, in full
-	// symmetric storage — exactly what chol.New would factorize locally.
-	Sub *sparse.CSC
-}
-
-// FactorDispatcher executes cluster factorizations on behalf of the
-// Schwarz builder. The fleet implementation (internal/fabric.Remote)
-// ships the block to a worker and validates the returned factor
-// (dimensions, SPD witness) before handing it back; any error makes the
-// builder fall back to a local factorization of the same block, so a
-// misbehaving dispatcher can cost time but never correctness.
-// Implementations must be safe for concurrent use: the builder
-// dispatches from its bounded factorization pool.
-type FactorDispatcher interface {
-	DispatchFactor(ctx context.Context, req *FactorRequest) (*chol.Factor, error)
-}
 
 // FactorCache stores per-cluster Cholesky factors keyed by cluster
 // fingerprint, for reuse across rebuilds of the same graph family. A

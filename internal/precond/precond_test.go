@@ -1,6 +1,8 @@
 package precond_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,6 +154,18 @@ func TestSchwarzBadAssignment(t *testing.T) {
 	neg[3] = -1
 	if _, _, err := precond.NewSchwarz(neg, precond.SchwarzOptions{}).Build(a); err == nil {
 		t.Fatal("negative cluster id accepted")
+	}
+}
+
+// TestSchwarzCanceledCtx: a build whose Ctx is already done factorizes
+// nothing and fails with the context's error.
+func TestSchwarzCanceledCtx(t *testing.T) {
+	g := gen.Grid2D(12, 12, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := precond.NewSchwarz(stripes(g.N, 3), precond.SchwarzOptions{Ctx: ctx}).Build(laplacianOf(g))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled build returned %v, want context.Canceled", err)
 	}
 }
 

@@ -40,14 +40,8 @@ type SchwarzOptions struct {
 	// cluster is factorized and populated afterward; see FactorCache for
 	// the staleness contract.
 	Cache FactorCache
-	// Factors, when non-nil together with Keys, dispatches each cluster's
-	// factorization (the exact extended principal submatrix travels in
-	// the request) to a remote builder before falling back to the local
-	// chol.New. Clusters with an empty key always factorize locally.
-	Factors FactorDispatcher
-	// Ctx bounds remote factor dispatches (nil = context.Background()).
-	// Purely a transport deadline: a canceled dispatch falls back to the
-	// local factorization, it does not fail the build.
+	// Ctx, when non-nil, is checked before each cluster's factorization;
+	// once it is done, Build fails with its error.
 	Ctx context.Context
 	// ApplyWorkers bounds the goroutines that fan one Apply's same-color
 	// block corrections out in parallel. Same-color blocks are
@@ -414,16 +408,15 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 	nnz := make([]int, k)
 	errs := make([]error, k)
 	reused := make([]bool, k)
-	remote := make([]bool, k)
 	keyOf := func(c int) string {
 		if c < len(b.opts.Keys) {
 			return b.opts.Keys[c]
 		}
 		return ""
 	}
-	fctx := b.opts.Ctx
-	if fctx == nil {
-		fctx = context.Background()
+	ctx := b.opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	workers := b.opts.Workers
 	if workers > k {
@@ -446,33 +439,19 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 						continue
 					}
 				}
+				if err := ctx.Err(); err != nil {
+					errs[c] = err
+					continue
+				}
 				sub, err := principal(a, p.clusters[c], local)
 				if err != nil {
 					errs[c] = err
 					continue
 				}
-				var f *chol.Factor
-				if b.opts.Factors != nil && key != "" {
-					// Remote factor build: ship the exact block; the
-					// dispatcher validates dimensions and the SPD witness
-					// on receipt. Any error — fleet down, corrupted
-					// payload, dimension mismatch — degrades to the local
-					// factorization of the same block below, so the build
-					// cannot fail (or drift) because a worker misbehaved.
-					rf, rerr := b.opts.Factors.DispatchFactor(fctx, &FactorRequest{
-						Key: key, Cluster: c, Idx: p.clusters[c], Sub: sub,
-					})
-					if rerr == nil && rf != nil && rf.N == len(p.clusters[c]) {
-						f = rf
-						remote[c] = true
-					}
-				}
-				if f == nil {
-					f, err = chol.New(sub, chol.Options{})
-					if err != nil {
-						errs[c] = fmt.Errorf("precond: factorizing cluster %d (%d vertices): %w", c, len(p.clusters[c]), err)
-						continue
-					}
+				f, err := chol.New(sub, chol.Options{})
+				if err != nil {
+					errs[c] = fmt.Errorf("precond: factorizing cluster %d (%d vertices): %w", c, len(p.clusters[c]), err)
+					continue
 				}
 				p.factors[c] = f
 				nnz[c] = f.NNZ()
@@ -497,9 +476,6 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 	for c := range reused {
 		if reused[c] {
 			st.FactorsReused++
-		}
-		if remote[c] {
-			st.FactorsRemote++
 		}
 	}
 	for c := range p.factors {
