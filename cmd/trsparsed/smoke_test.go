@@ -11,11 +11,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/precond"
 )
 
 var servingRE = regexp.MustCompile(`serving on ([^ ]+:\d+) `)
@@ -160,6 +163,109 @@ func TestWorkerProcessSmoke(t *testing.T) {
 	decodeBody(t, resp, &ws)
 	if ws.Served == 0 {
 		t.Fatalf("worker process reports zero clusters served: %+v", ws)
+	}
+}
+
+// TestRemoteFactorsProcessSmoke checks what became of -remote-factors
+// across a real process boundary. A fleet-dispatched Schwarz build is
+// bit-for-bit the local build — same sparsifier edges, same PCG iteration
+// count — with every per-cluster factor built in the coordinator process.
+// A factor job in the wire shape an older coordinator with remote factors
+// enabled still sends is answered with 400 invalid_request, the reply that
+// makes such a coordinator factorize locally.
+func TestRemoteFactorsProcessSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two-process smoke test skipped in -short mode")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not available to build the worker binary")
+	}
+	workerURL := startWorkerProcess(t)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(workerURL + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never became healthy: %v", err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+
+	g := gen.Grid2D(20, 20, 3)
+	b := make([]float64, g.N)
+	rng := rand.New(rand.NewSource(9))
+	var sum float64
+	for i := range b {
+		b[i] = rng.NormFloat64()
+		sum += b[i]
+	}
+	for i := range b {
+		b[i] -= sum / float64(len(b)) // project onto range(L)
+	}
+	solve := func(eng *engine.Engine) (*graph.Graph, int, *engine.Artifact) {
+		t.Helper()
+		art, _, err := eng.Sparsify(context.Background(), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := art.Handle.Solve(context.Background(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art.Handle.SparsifierGraph(), sol.Iterations, art
+	}
+
+	local := engine.New(engine.Options{
+		Workers: 4, CacheSize: 8, ShardThreshold: 100, Precond: precond.Schwarz,
+	})
+	fleet := engine.New(engine.Options{
+		Workers: 4, CacheSize: 8, ShardThreshold: 100, Precond: precond.Schwarz,
+		Fleet: []string{workerURL},
+	})
+	ls, liters, _ := solve(local)
+	fs, fiters, fart := solve(fleet)
+	if !reflect.DeepEqual(ls.Edges, fs.Edges) {
+		t.Fatalf("fleet Schwarz build differs from local: %d vs %d edges", fs.M(), ls.M())
+	}
+	if liters != fiters {
+		t.Fatalf("PCG iterations differ across the process boundary: local %d, fleet %d", liters, fiters)
+	}
+	if ps := fart.Handle.PrecondStats(); ps == nil || ps.Kind != "schwarz" || ps.Clusters == 0 {
+		t.Fatalf("fleet build did not factorize its Schwarz clusters in-process: %+v", ps)
+	}
+	if st := fart.Handle.ShardStats(); st == nil || st.ClustersRemote == 0 {
+		t.Fatalf("worker process served no clusters: %+v", st)
+	}
+
+	// An older coordinator's factor job: a "factor" block, no cluster.
+	job := `{"key":"k","factor":{"n":2,"colptr":[0,2,4],"rowidx":[0,1,0,1],"val":[2,-1,-1,2]}}`
+	resp, err := http.Post(workerURL+"/v2/cluster", "application/json", strings.NewReader(job))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct {
+		Code string `json:"code"`
+	}
+	decodeBody(t, resp, &e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || e.Code != "invalid_request" {
+		t.Fatalf("factor job: status %d code %q, want 400 invalid_request", resp.StatusCode, e.Code)
+	}
+
+	// The worker's stats endpoint shows the cluster builds and the one
+	// rejected factor job.
+	resp, err = http.Get(workerURL + "/v2/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ws workerStatsResponse
+	decodeBody(t, resp, &ws)
+	if ws.Served == 0 || ws.Failures != 1 {
+		t.Fatalf("worker process stats = %+v, want clusters served and exactly one failure", ws)
 	}
 }
 
