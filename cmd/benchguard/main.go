@@ -12,11 +12,14 @@
 //	    -gate 'BenchmarkShardedSparsify=1.40'
 //
 // Each -gate is a regexp=max-slowdown pair and may repeat; a benchmark
-// matching several gates is held to the strictest. The legacy
-// -bench/-max-slowdown pair remains as a single default gate. Benchmarks
-// present in only one file are reported but do not fail the run (the set
-// is expected to grow PR over PR); a matched benchmark whose new ns/op
-// exceeds old·max-slowdown fails it.
+// matching several gates is held to the strictest. A gate holds the
+// whole benchmark name it matches and that benchmark's sub-benchmarks:
+// 'BenchmarkFleetFactorBuild/fleet' holds .../fleet and .../fleet/x but
+// not .../fleet-factors. The legacy -bench/-max-slowdown pair remains as
+// a single default gate, matched unanchored like go test's -bench.
+// Benchmarks present in only one file are reported but do not fail the
+// run (the set is expected to grow PR over PR); a matched benchmark
+// whose new ns/op exceeds old·max-slowdown fails it.
 package main
 
 import (
@@ -50,12 +53,18 @@ func (g *gateFlags) String() string {
 	return strings.Join(parts, ",")
 }
 
+// compileGate compiles a gate pattern anchored to a whole name or a
+// '/'-separated prefix of it.
+func compileGate(pat string) (*regexp.Regexp, error) {
+	return regexp.Compile("^(?:" + pat + ")(?:/|$)")
+}
+
 func (g *gateFlags) Set(s string) error {
 	eq := strings.LastIndex(s, "=")
 	if eq < 0 {
 		return fmt.Errorf("gate %q: want regexp=max-slowdown", s)
 	}
-	re, err := regexp.Compile(s[:eq])
+	re, err := compileGate(s[:eq])
 	if err != nil {
 		return fmt.Errorf("gate %q: %w", s, err)
 	}

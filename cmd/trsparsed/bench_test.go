@@ -216,3 +216,52 @@ func BenchmarkFleetFactorBuild(b *testing.B) {
 	b.Run("local", func(b *testing.B) { run(b, 0) })
 	b.Run("fleet", func(b *testing.B) { run(b, 2) })
 }
+
+// BenchmarkRepeatSparsify is the hot-graph repeat POST: the mesh of
+// perfbench's solve-hot workload (Tri2D(128,128), about 1.5 MB of JSON)
+// is built once, then every op re-POSTs the byte-identical /v2/sparsify
+// body over HTTP and reads the whole reply, sparsifier edges included.
+// Every op is a cache hit, so ns/op, B/op and allocs/op are what the
+// HTTP stack and the codec cost on top of the engine's store lookup
+// (the client's read of the reply included, its decode not).
+func BenchmarkRepeatSparsify(b *testing.B) {
+	g := gen.Tri2D(128, 128, 1)
+	body, err := json.Marshal(graphRequest(g))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(engine.New(engine.Options{Workers: 2})).handler())
+	defer ts.Close()
+	client := ts.Client()
+	var raw bytes.Buffer
+	post := func() {
+		resp, err := client.Post(ts.URL+"/v2/sparsify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw.Reset()
+		_, err = raw.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, err %v: %.200s", resp.StatusCode, err, raw.Bytes())
+		}
+	}
+	check := func(cached bool) {
+		var sp sparsifyResponse
+		if err := json.Unmarshal(raw.Bytes(), &sp); err != nil {
+			b.Fatal(err)
+		}
+		if sp.Cached != cached || sp.EdgeCount == 0 || len(sp.SparsifierEdges) != sp.EdgeCount {
+			b.Fatalf("cached=%v (want %v), %d edges for a count of %d", sp.Cached, cached, len(sp.SparsifierEdges), sp.EdgeCount)
+		}
+	}
+	post()
+	check(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	check(true)
+}

@@ -133,12 +133,22 @@ func decodeJSON(data []byte, member func(d *wire.Decoder, key []byte) error) err
 	return nil
 }
 
-// readJSON reads the request body (at most maxBodyBytes) into a pooled
-// buffer and decodes it with decodeJSON.
-func readJSON(w http.ResponseWriter, r *http.Request, member func(d *wire.Decoder, key []byte) error) error {
+// readBody reads the request body (at most maxBodyBytes) into a pooled
+// buffer.
+func readBody(w http.ResponseWriter, r *http.Request) (*wire.Buffer, error) {
 	body, err := wire.ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength, maxBodyBytes)
 	if err != nil {
-		return fmt.Errorf("decoding JSON body: %w", err)
+		return nil, fmt.Errorf("decoding JSON body: %w", err)
+	}
+	return body, nil
+}
+
+// readJSON reads the request body with readBody and decodes it with
+// decodeJSON.
+func readJSON(w http.ResponseWriter, r *http.Request, member func(d *wire.Decoder, key []byte) error) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
 	}
 	defer body.Release()
 	return decodeJSON(body.B, member)
@@ -199,9 +209,12 @@ type sparsifyReply struct {
 	N               int
 	M               int
 	SparsifierEdges []graph.Edge
-	EdgeCount       int
-	Cached          bool
-	BuildMS         float64
+	// RenderedEdges, when set, is SparsifierEdges already rendered
+	// (Artifact.RenderedEdges) and is appended as it is.
+	RenderedEdges []byte
+	EdgeCount     int
+	Cached        bool
+	BuildMS       float64
 	// Sharded is non-nil when the artifact was built through the
 	// partition-parallel pipeline (?shards=/?shard_threshold=, the
 	// server's -shard-threshold default, or admission above
@@ -221,7 +234,11 @@ func (r *sparsifyReply) appendJSON(e *wire.Encoder) {
 	e.Int(r.M)
 	if len(r.SparsifierEdges) > 0 {
 		e.Raw(`,"sparsifier_edges":`)
-		e.Edges(r.SparsifierEdges)
+		if r.RenderedEdges != nil {
+			e.RawBytes(r.RenderedEdges)
+		} else {
+			e.Edges(r.SparsifierEdges)
+		}
 	}
 	e.Raw(`,"sparsifier_edge_count":`)
 	e.Int(r.EdgeCount)
@@ -318,17 +335,34 @@ func isMatrixMarket(r *http.Request) bool {
 	return ct == "application/x-matrix-market" || strings.HasPrefix(ct, "text/")
 }
 
-// readGraph extracts the graph from a sparsify request body, accepting
-// either JSON (inline edge list) or a raw Matrix Market upload.
-func (s *server) readGraph(w http.ResponseWriter, r *http.Request) (*graph.Graph, error) {
+// readSparsify reads a sparsify request body: JSON (inline edge list) or
+// a raw Matrix Market upload. A JSON body is hashed with the build
+// options first, and when its digest is aliased to a resident artifact
+// that artifact comes back and the body is never decoded. Otherwise the
+// decoded graph comes back, with the digest to alias (nil for Matrix
+// Market) once the graph's artifact is known.
+func (s *server) readSparsify(w http.ResponseWriter, r *http.Request, bo engine.BuildOpts) (*engine.Artifact, *graph.Graph, *engine.Digest, error) {
 	if isMatrixMarket(r) {
-		return trsparse.ReadMatrixMarketGraph(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		g, err := trsparse.ReadMatrixMarketGraph(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		return nil, g, nil, err
+	}
+	body, err := readBody(w, r)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	d := engine.BodyDigest(bo, body.B)
+	if art, ok := s.eng.LookupDigest(d); ok {
+		body.Release()
+		return art, nil, nil, nil
 	}
 	var req sparsifyBody
-	if err := readJSON(w, r, req.member); err != nil {
-		return nil, err
+	err = decodeJSON(body.B, req.member)
+	body.Release()
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return req.Graph.toGraph()
+	g, err := req.Graph.toGraph()
+	return nil, g, &d, err
 }
 
 func (s *server) handleSparsify(w http.ResponseWriter, r *http.Request) {
@@ -343,15 +377,20 @@ func (s *server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	g, err := s.readGraph(w, r)
+	art, g, digest, err := s.readSparsify(w, r, bo)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, requestStatus(err), err)
 		return
 	}
-	art, cached, err := s.eng.SparsifyWith(ctx, g, bo)
-	if err != nil {
-		writeErr(w, statusOf(err), err)
-		return
+	cached := art != nil
+	if art == nil {
+		if art, cached, err = s.eng.SparsifyWith(ctx, g, bo); err != nil {
+			writeErr(w, statusOf(err), err)
+			return
+		}
+		if digest != nil {
+			s.eng.NoteDigest(*digest, art.Key)
+		}
 	}
 	resp := sparsifyReply{
 		Key:       art.Key,
@@ -368,6 +407,13 @@ func (s *server) handleSparsify(w http.ResponseWriter, r *http.Request) {
 	// millions of [u,v,w] triples per request is pure memory amplification.
 	if v := r.URL.Query().Get("edges"); v != "false" && v != "0" {
 		resp.SparsifierEdges = art.SparsifierGraph().Edges
+		// A cache hit appends the edges the artifact keeps rendered
+		// (rendered by its first hit); a cold build renders them once
+		// and keeps nothing. Should rendering fail, the encoder renders
+		// SparsifierEdges itself and reports the failure.
+		if cached {
+			resp.RenderedEdges, _ = art.RenderedEdges()
+		}
 	}
 	writeJSON(w, http.StatusOK, &resp)
 }
@@ -472,7 +518,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var req deltaBody
 	if err := readJSON(w, r, req.member); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, requestStatus(err), err)
 		return
 	}
 	if req.Key == "" {
@@ -638,7 +684,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	var req solveBody
 	if err := readJSON(w, r, req.member); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, requestStatus(err), err)
 		return
 	}
 	if len(req.B) > 0 && len(req.Rhs) > 0 {
@@ -787,7 +833,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 	var req partitionBody
 	if err := readJSON(w, r, req.member); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, requestStatus(err), err)
 		return
 	}
 	var art *engine.Artifact
@@ -855,11 +901,15 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // machine-readable code) pair — the single source of the structured error
 // taxonomy: cancellations and timeouts surface as 503 (the service is
 // saturated, the per-request deadline passed, or the client gave up),
-// oversized graphs as 413, dimension mismatches as 400, recovered panics
-// as 500 (an engine fault, not the client's graph), everything else as
-// 422 (the graph itself was unusable).
+// oversized graphs and bodies over maxBodyBytes as 413, dimension
+// mismatches as 400, recovered panics as 500 (an engine fault, not the
+// client's graph), everything else as 422 (the graph itself was
+// unusable).
 func classify(err error) (int, string) {
+	var tooBig *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, core.ErrCanceled),
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled):
@@ -894,6 +944,15 @@ func classify(err error) (int, string) {
 func statusOf(err error) int {
 	status, _ := classify(err)
 	return status
+}
+
+// requestStatus is the status of an error in reading or decoding a
+// request: 413 when the body overran maxBodyBytes, 400 otherwise.
+func requestStatus(err error) int {
+	if status, code := classify(err); code == "too_large" {
+		return status
+	}
+	return http.StatusBadRequest
 }
 
 // jsonAppender is a response with a hand-written encoder; writeJSON

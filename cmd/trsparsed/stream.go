@@ -56,7 +56,7 @@ type streamWaitResponse struct {
 func (s *server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	var req streamOpenRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding JSON body: %w", err))
+		writeErr(w, requestStatus(err), fmt.Errorf("decoding JSON body: %w", err))
 		return
 	}
 	if req.BaseKey == "" {
@@ -114,7 +114,7 @@ func (s *server) handleStreamPush(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	var req deltaBody
 	if err := readJSON(w, r, req.member); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, requestStatus(err), err)
 		return
 	}
 	d, err := req.toDelta()

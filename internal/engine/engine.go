@@ -253,6 +253,22 @@ func (e *Engine) Lookup(key string) (*Artifact, bool) {
 	return art, ok
 }
 
+// LookupDigest returns the artifact a request digest is aliased to (see
+// NoteDigest). Only a found artifact counts, as a hit: a caller that
+// misses goes on to SparsifyWith, which counts the request itself.
+func (e *Engine) LookupDigest(d Digest) (*Artifact, bool) {
+	art, ok := e.store.GetDigest(d)
+	if ok {
+		e.c.hits.Add(1)
+	}
+	return art, ok
+}
+
+// NoteDigest aliases request digest d to the artifact stored under key,
+// so LookupDigest finds it while it stays resident. Each artifact keeps
+// its four newest digests.
+func (e *Engine) NoteDigest(d Digest, key string) { e.store.AddAlias(d, key) }
+
 // BuildOpts are per-request overrides of the engine's sharding defaults
 // (the HTTP layer maps ?shards= and ?shard_threshold= onto them). Zero
 // values inherit the engine configuration. Overrides participate in the

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -56,4 +58,32 @@ func FingerprintGraph(g *graph.Graph) Fingerprint {
 // API use to reference a cached artifact, e.g. "g2500-4900-1a2b3c4d5e6f7081".
 func (f Fingerprint) Key() string {
 	return fmt.Sprintf("g%d-%d-%016x", f.N, f.M, f.Hash)
+}
+
+// Digest identifies one request: the SHA-256 of its build options and
+// its body bytes (BodyDigest). The store aliases digests to artifact
+// keys, so a byte-identical request finds its artifact without decoding
+// the graph. It is a cryptographic hash because a collision would serve
+// another graph's sparsifier.
+type Digest [sha256.Size]byte
+
+// BodyDigest hashes bo in a canonical fixed-width form, then body. The
+// same body under different build options yields a different digest, as
+// it may resolve to a different artifact.
+func BodyDigest(bo BuildOpts, body []byte) Digest {
+	method := int64(-1) // nil: inherit the engine's method
+	if bo.Method != nil {
+		method = int64(*bo.Method)
+	}
+	var opts [32]byte
+	binary.LittleEndian.PutUint64(opts[0:], uint64(bo.ShardThreshold))
+	binary.LittleEndian.PutUint64(opts[8:], uint64(bo.Shards))
+	binary.LittleEndian.PutUint64(opts[16:], uint64(bo.Precond))
+	binary.LittleEndian.PutUint64(opts[24:], uint64(method))
+	h := sha256.New()
+	h.Write(opts[:])
+	h.Write(body)
+	var d Digest
+	h.Sum(d[:0])
+	return d
 }

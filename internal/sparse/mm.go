@@ -48,6 +48,9 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	var rows, cols, nnz int
 	for {
 		line, err := br.ReadString('\n')
+		if err != nil && err != io.EOF {
+			return nil, fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
+		}
 		if err != nil && line == "" {
 			return nil, fmt.Errorf("sparse: unexpected EOF before MatrixMarket size line")
 		}
@@ -81,6 +84,11 @@ func ReadMatrixMarket(r io.Reader) (*CSC, error) {
 	read := 0
 	for read < nnz {
 		line, err := br.ReadString('\n')
+		if err != nil && err != io.EOF {
+			// A failed read (an oversized upload cut off by the server,
+			// say) must not parse its partial last line as an entry.
+			return nil, fmt.Errorf("sparse: reading MatrixMarket entry %d of %d: %w", read+1, nnz, err)
+		}
 		if err != nil && line == "" {
 			return nil, fmt.Errorf("sparse: unexpected EOF after %d of %d entries", read, nnz)
 		}

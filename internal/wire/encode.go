@@ -76,6 +76,10 @@ func (e *Encoder) Reset() {
 // Raw appends literal JSON text (punctuation and quoted keys).
 func (e *Encoder) Raw(s string) { e.buf = append(e.buf, s...) }
 
+// RawBytes appends JSON already rendered elsewhere, such as a value an
+// earlier Encoder produced and the caller kept.
+func (e *Encoder) RawBytes(b []byte) { e.buf = append(e.buf, b...) }
+
 // Int appends an integer.
 func (e *Encoder) Int(v int) { e.buf = strconv.AppendInt(e.buf, int64(v), 10) }
 
