@@ -14,8 +14,8 @@
 // Each -gate is a regexp=max-slowdown pair and may repeat; a benchmark
 // matching several gates is held to the strictest. A gate holds the
 // whole benchmark name it matches and that benchmark's sub-benchmarks:
-// 'BenchmarkFleetFactorBuild/fleet' holds .../fleet and .../fleet/x but
-// not .../fleet-factors. The legacy -bench/-max-slowdown pair remains as
+// 'BenchmarkStreamUpdate/patched' holds .../patched and .../patched/x but
+// not .../patched-x. The legacy -bench/-max-slowdown pair remains as
 // a single default gate, matched unanchored like go test's -bench.
 // Benchmarks present in only one file are reported but do not fail the
 // run (the set is expected to grow PR over PR); a matched benchmark

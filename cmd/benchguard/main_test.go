@@ -13,9 +13,9 @@ func TestGateHoldsWholeNameOrSubBenchmark(t *testing.T) {
 		gate, name string
 		holds      bool
 	}{
-		{"BenchmarkFleetFactorBuild/fleet", "BenchmarkFleetFactorBuild/fleet", true},
-		{"BenchmarkFleetFactorBuild/fleet", "BenchmarkFleetFactorBuild/fleet-factors", false},
-		{"BenchmarkFleetFactorBuild/fleet", "BenchmarkFleetFactorBuild/local", false},
+		{"BenchmarkStreamUpdate/patched", "BenchmarkStreamUpdate/patched/x", true},
+		{"BenchmarkStreamUpdate/patched", "BenchmarkStreamUpdate/patched-x", false},
+		{"BenchmarkStreamUpdate/patched", "BenchmarkStreamUpdate/legacy", false},
 		{"BenchmarkSparsifierSolve", "BenchmarkSparsifierSolve", true},
 		{"BenchmarkSparsifierSolve", "BenchmarkSparsifierSolve/handle-reuse", true},
 		{"BenchmarkSparsifierSolve", "BenchmarkSparsifierSolveBatch", false},

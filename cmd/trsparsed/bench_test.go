@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/gen"
-	"repro/internal/precond"
 )
 
 // BenchmarkSolveThroughput is the PR-8 solve-path benchmark: the same 8
@@ -144,77 +142,6 @@ func BenchmarkSolveThroughput(b *testing.B) {
 
 	b.Run("http-independent", func(b *testing.B) { httpLeg(b, 0) })
 	b.Run("coalesced-http", func(b *testing.B) { httpLeg(b, 25*time.Millisecond) })
-}
-
-// BenchmarkFleetFactorBuild is the PR-10 fabric benchmark: one sharded
-// Schwarz-preconditioned build of the 600×600 grid (the same deliberately
-// unscaled graph as BenchmarkShardedSparsify) two ways. "local" is the
-// coordinator doing everything in-process. "fleet" ships the cluster
-// sparsifier builds to two in-process worker servers over the real
-// HTTP/JSON wire; the Schwarz factors are always built in-process. Both
-// produce the bit-identical artifact — the pcg-iters metric proves it on
-// a shared right-hand side — so the fleet leg measures pure
-// orchestration cost — wire codec and dispatch scheduling — against the
-// in-process baseline.
-func BenchmarkFleetFactorBuild(b *testing.B) {
-	ctx := context.Background()
-	g := gen.Grid2D(600, 600, 1)
-	rng := rand.New(rand.NewSource(17))
-	rhs := make([]float64, g.N)
-	var sum float64
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-		sum += rhs[i]
-	}
-	for i := range rhs {
-		rhs[i] -= sum / float64(len(rhs))
-	}
-
-	run := func(b *testing.B, nWorkers int) {
-		var art *engine.Artifact
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			// Fresh workers and a fresh engine per pass: the cluster
-			// caches on both sides and the coordinator's factor cache
-			// would otherwise turn every pass after the first into
-			// lookups.
-			var fleet []string
-			for w := 0; w < nWorkers; w++ {
-				cache := engine.NewClusterStore(256, 0)
-				ts := httptest.NewServer(newWorkerServer(fabric.NewWorker(cache, 4), cache).handler())
-				defer ts.Close()
-				fleet = append(fleet, ts.URL)
-			}
-			eng := engine.New(engine.Options{
-				Workers:        4,
-				CacheSize:      2,
-				ShardThreshold: g.N / 32,
-				Precond:        precond.Schwarz,
-				Fleet:          fleet,
-			})
-			b.StartTimer()
-			var err error
-			art, _, err = eng.Sparsify(ctx, g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := eng.Stats()
-			if nWorkers > 0 && st.ClustersRemote == 0 {
-				b.Fatal("fleet leg built no clusters remotely")
-			}
-			b.StartTimer()
-		}
-		b.StopTimer()
-		sol, err := art.Handle.Solve(ctx, rhs)
-		if err != nil || !sol.Converged {
-			b.Fatalf("solve: converged=%v err=%v", sol != nil && sol.Converged, err)
-		}
-		b.ReportMetric(float64(sol.Iterations), "pcg-iters")
-	}
-
-	b.Run("local", func(b *testing.B) { run(b, 0) })
-	b.Run("fleet", func(b *testing.B) { run(b, 2) })
 }
 
 // BenchmarkRepeatSparsify is the hot-graph repeat POST: the mesh of

@@ -7,14 +7,6 @@
 // Usage:
 //
 //	trsparsed -addr :8372 -workers 8 -cache 128 -job-timeout 2m
-//
-// With -worker the process serves the other side of the distributed
-// shard fabric instead: a cluster-build worker (POST /v2/cluster) that
-// coordinators configured with -fleet dispatch to.
-//
-//	trsparsed -worker -addr :8373 &
-//	trsparsed -worker -addr :8374 &
-//	trsparsed -addr :8372 -fleet http://localhost:8373,http://localhost:8374
 package main
 
 import (
@@ -26,12 +18,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/sparsify"
 )
 
@@ -55,83 +45,43 @@ func main() {
 	alpha := flag.Float64("alpha", 0, "fraction of |V| off-tree edges to recover (0 = paper default 0.10)")
 	rounds := flag.Int("rounds", 0, "densification rounds N_r (0 = paper default 5)")
 	seed := flag.Int64("seed", 1, "random seed for sparsifier construction")
-	workerMode := flag.Bool("worker", false, "serve as a shard-fabric cluster worker (POST /v2/cluster) instead of a coordinator")
-	fleet := flag.String("fleet", "", "comma-separated worker base URLs to dispatch sharded builds' clusters to (e.g. http://host:8373,http://host:8374)")
-	fleetTimeout := flag.Duration("fleet-timeout", 0, "per-attempt deadline for remote cluster dispatch (0 = 1m)")
-	fleetRetries := flag.Int("fleet-retries", 0, "additional dispatch attempts after a failed one (0 = 2, negative disables)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "duplicate a straggling cluster dispatch on the next-ranked worker after this delay; first result wins (0 disables)")
-	peerFetch := flag.Bool("peer-fetch", false, "worker mode: on a cache miss for a key that moved in a membership change, try one GET /v2/cluster/{key} against the previous owner before rebuilding")
 	streamSessions := flag.Int("stream-sessions", 0, "max concurrent /v2/stream sessions (0 = default 16, negative disables streaming)")
 	streamStaleness := flag.Int("stream-staleness", 0, "staleness bound: max accepted pushes a session's served artifact may lag before pushes get 429 (0 = default 8)")
 	streamQueue := flag.Int("stream-queue", 0, "queue depth: max pending edge edits per session before pushes get 429 (0 = default 4096)")
 	flag.Parse()
-
-	if *workerMode && *fleet != "" {
-		log.Fatal("-worker and -fleet are mutually exclusive: a worker executes clusters, a coordinator dispatches them")
-	}
-	if *peerFetch && !*workerMode {
-		log.Fatal("-peer-fetch is a worker-side behaviour (use with -worker)")
-	}
 
 	m, err := sparsify.ParseMethod(*method)
 	if err != nil {
 		log.Fatalf("unknown method %q (want trace, grass, fegrass, or er)", *method)
 	}
 
-	var handler http.Handler
-	var role string
-	if *workerMode {
-		// A worker keeps its own cluster cache (same budget flags as the
-		// coordinator's store): rendezvous placement sends the same cluster
-		// fingerprint back to the same worker across rebuilds, so the cache
-		// turns repeat dispatches into lookups.
-		var cache *engine.ClusterStore
-		if *clusterCache >= 0 {
-			cache = engine.NewClusterStore(*clusterCache, *clusterCacheBytes)
-		}
-		w := fabric.NewWorkerWith(cache, *workers, fabric.WorkerOptions{PeerFetch: *peerFetch})
-		handler = newWorkerServer(w, cache).handler()
-		role = "worker"
-	} else {
-		eng := engine.New(engine.Options{
-			Workers:           *workers,
-			CacheSize:         *cacheSize,
-			ClusterCacheSize:  *clusterCache,
-			ClusterCacheBytes: *clusterCacheBytes,
-			JobTimeout:        *jobTimeout,
-			MaxVertices:       *maxVertices,
-			HardMaxVertices:   *hardMaxVertices,
-			ShardThreshold:    *shardThreshold,
-			Shards:            *shards,
-			ApplyWorkers:      *applyWorkers,
-			CoalesceWindow:    *coalesceWindow,
-			Fleet:             splitFleet(*fleet),
-			FleetOpts: fabric.Options{
-				Timeout:    *fleetTimeout,
-				Retries:    *fleetRetries,
-				HedgeAfter: *hedgeAfter,
-			},
-			Sparsify:          sparsify.Options{Method: m, Alpha: *alpha, Rounds: *rounds, Seed: *seed},
-			StreamMaxSessions: *streamSessions,
-			StreamStaleness:   *streamStaleness,
-			StreamQueueDepth:  *streamQueue,
-		})
-		handler = newServer(eng).handler()
-		role = "coordinator"
-		if f := eng.Fleet(); f != nil {
-			log.Printf("dispatching sharded builds to fleet: %s", strings.Join(f.Workers(), ", "))
-		}
-	}
+	eng := engine.New(engine.Options{
+		Workers:           *workers,
+		CacheSize:         *cacheSize,
+		ClusterCacheSize:  *clusterCache,
+		ClusterCacheBytes: *clusterCacheBytes,
+		JobTimeout:        *jobTimeout,
+		MaxVertices:       *maxVertices,
+		HardMaxVertices:   *hardMaxVertices,
+		ShardThreshold:    *shardThreshold,
+		Shards:            *shards,
+		ApplyWorkers:      *applyWorkers,
+		CoalesceWindow:    *coalesceWindow,
+		Sparsify:          sparsify.Options{Method: m, Alpha: *alpha, Rounds: *rounds, Seed: *seed},
+		StreamMaxSessions: *streamSessions,
+		StreamStaleness:   *streamStaleness,
+		StreamQueueDepth:  *streamQueue,
+	})
 
 	// Listen before Serve so the actual bound address is known — with
-	// ":0" the kernel picks the port, and scripts (and the CI smoke test)
-	// parse it from this log line.
+	// ":0" the kernel picks the port, and scripts (perfbench and the
+	// process smoke test) parse it from this log line.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	srv := &http.Server{
-		Handler:           handler,
+		Handler:           newServer(eng).handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -151,23 +101,11 @@ func main() {
 		}
 	}()
 
-	log.Printf("serving on %s (role=%s workers=%d cache=%d method=%s)",
-		ln.Addr(), role, resolveWorkers(*workers), *cacheSize, m)
+	log.Printf("serving on %s (workers=%d cache=%d method=%s)",
+		ln.Addr(), eng.Options().Workers, *cacheSize, m)
 	if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	stop()
 	<-drained
-}
-
-// splitFleet parses the -fleet flag: comma-separated base URLs, blanks
-// dropped.
-func splitFleet(s string) []string {
-	var out []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
 }

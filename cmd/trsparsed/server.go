@@ -163,9 +163,6 @@ type shardInfo struct {
 	CutRetained    int     `json:"cut_retained"`
 	CutRecovered   int     `json:"cut_recovered"`
 	FallbackSplits int     `json:"fallback_splits"`
-	// ClustersRemote counts clusters of this build whose construction a
-	// fleet worker answered (0 on fleet-less coordinators).
-	ClustersRemote int `json:"clusters_remote,omitempty"`
 	// Abandoned reports that the plan's cut fraction exceeded the guard
 	// ceiling and the build fell back to the monolithic path.
 	Abandoned bool `json:"abandoned,omitempty"`
@@ -316,7 +313,6 @@ func shardInfoOf(art *engine.Artifact) *shardInfo {
 		CutRetained:    st.CutRetained,
 		CutRecovered:   st.CutRecovered,
 		FallbackSplits: st.FallbackSplits,
-		ClustersRemote: st.ClustersRemote,
 		Abandoned:      st.Abandoned,
 	}
 }

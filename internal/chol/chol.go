@@ -83,9 +83,7 @@ func ereach(a *sparse.CSC, k int, parent []int, s, w []int) int {
 
 // Options configures New.
 type Options struct {
-	// Ordering method; order.Auto by default.
-	Ordering order.Method
-	// Perm overrides the computed ordering when non-nil.
+	// Perm overrides the computed ordering (order.Compute) when non-nil.
 	Perm []int
 }
 
@@ -111,7 +109,7 @@ func New(a *sparse.CSC, opts Options) (*Factor, error) {
 	}
 	perm := opts.Perm
 	if perm == nil {
-		perm = order.Compute(cscAdapter{a}, opts.Ordering)
+		perm = order.Compute(cscAdapter{a})
 	}
 	if !order.Validate(perm, n) {
 		return nil, fmt.Errorf("chol: invalid permutation (length %d for n=%d)", len(perm), n)

@@ -44,15 +44,32 @@ func reconstructError(a *sparse.CSC, f *Factor) float64 {
 	return maxd
 }
 
+// identity is the natural ordering of n vertices.
+func identity(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
+}
+
 func TestFactorReconstructsSmall(t *testing.T) {
-	for _, m := range []order.Method{order.Natural, order.RCM, order.MinDegree, order.NestedDissection} {
-		a := laplacianPlusEps(12, 8, 42)
-		f, err := New(a, Options{Ordering: m})
+	a := laplacianPlusEps(12, 8, 42)
+	for _, m := range []struct {
+		name string
+		perm []int
+	}{
+		{"natural", identity(a.Cols)},
+		{"mindeg", order.ComputeMinDegree(cscAdapter{a})},
+		{"nd", order.ComputeND(cscAdapter{a})},
+		{"auto", nil},
+	} {
+		f, err := New(a, Options{Perm: m.perm})
 		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+			t.Fatalf("%s: %v", m.name, err)
 		}
 		if e := reconstructError(a, f); e > 1e-10 {
-			t.Errorf("%v: ‖LLᵀ − PAPᵀ‖∞ = %g", m, e)
+			t.Errorf("%s: ‖LLᵀ − PAPᵀ‖∞ = %g", m.name, e)
 		}
 	}
 }
@@ -129,7 +146,7 @@ func TestNotPositiveDefinite(t *testing.T) {
 	// A pure (unshifted) Laplacian is singular → factorization must fail.
 	g := gen.Path(5)
 	a := lap.Laplacian(g, nil)
-	if _, err := New(a, Options{Ordering: order.Natural}); err == nil {
+	if _, err := New(a, Options{Perm: identity(a.Cols)}); err == nil {
 		t.Fatal("expected ErrNotPD on singular Laplacian")
 	}
 }
@@ -161,7 +178,7 @@ func TestTreeOrderedPathHasZeroFill(t *testing.T) {
 	// A path factored in natural order is bidiagonal: nnz(L) = 2n−1.
 	n := 100
 	a := laplacianPlusEpsPath(n)
-	f, err := New(a, Options{Ordering: order.Natural})
+	f, err := New(a, Options{Perm: identity(n)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +194,11 @@ func TestMinDegreeBeatsNaturalFillOnGrid(t *testing.T) {
 		shift[i] = 0.05
 	}
 	a := lap.Laplacian(g, shift)
-	fn, err := New(a, Options{Ordering: order.Natural})
+	fn, err := New(a, Options{Perm: identity(a.Cols)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm, err := New(a, Options{Ordering: order.MinDegree})
+	fm, err := New(a, Options{Perm: order.ComputeMinDegree(cscAdapter{a})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +209,7 @@ func TestMinDegreeBeatsNaturalFillOnGrid(t *testing.T) {
 
 func TestPermutedIndexRoundTrip(t *testing.T) {
 	a := laplacianPlusEps(25, 10, 17)
-	f, err := New(a, Options{Ordering: order.MinDegree})
+	f, err := New(a, Options{Perm: order.ComputeMinDegree(cscAdapter{a})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,14 +89,6 @@ type Config struct {
 	// (default solver.DefaultCheckEvery).
 	CheckEvery int
 
-	// Dispatcher, when non-nil, decides where each cluster of a sharded
-	// build executes: the fabric's Remote dispatcher ships cluster
-	// payloads to a worker fleet (degrading to in-process execution when
-	// the fleet cannot answer), while nil keeps every cluster build
-	// in-process. It only matters for builds routed through the sharded
-	// pipeline; monolithic builds never consult it.
-	Dispatcher shard.Dispatcher
-
 	// Clusters and Factors are optional shared artifact caches for the
 	// sharded pipeline: per-cluster sparsifier edge sets keyed by cluster
 	// fingerprint, and per-cluster Schwarz factors under the same keys.
@@ -219,11 +211,10 @@ func NewSparsifier(ctx context.Context, g *graph.Graph, cfg Config) (*Sparsifier
 		switch {
 		case cfg.ShardThreshold > 0 && g.N > cfg.ShardThreshold:
 			res, err = shard.Sparsify(ctx, g, shard.Options{
-				Shards:     cfg.Shards,
-				Threshold:  cfg.ShardThreshold,
-				Sparsify:   cfg.Sparsify,
-				Cache:      cfg.Clusters,
-				Dispatcher: cfg.Dispatcher,
+				Shards:    cfg.Shards,
+				Threshold: cfg.ShardThreshold,
+				Sparsify:  cfg.Sparsify,
+				Cache:     cfg.Clusters,
 			})
 		case cfg.Sparsify.Method == sparsify.ER && g.N > erPlanVertices:
 			// ER needs linear solves in L_G — the one method whose

@@ -155,7 +155,6 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 		BaseClusterEdges: baseEdges,
 		Sparsify:         cfg.Sparsify,
 		Cache:            hc,
-		Dispatcher:       cfg.Dispatcher,
 		Localize:         localizeFromBase(base, p),
 	})
 	if err != nil {

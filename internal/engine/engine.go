@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/graph"
 	"repro/internal/precond"
 	"repro/internal/shard"
@@ -66,15 +65,6 @@ type Options struct {
 	// size varies with cluster geometry, so a count bound alone can be
 	// off by orders of magnitude.
 	ClusterCacheBytes int64
-	// Fleet lists worker base URLs (`trsparsed -worker` processes) for
-	// the distributed shard fabric. When non-empty, every sharded build's
-	// cluster constructions are dispatched to the fleet with
-	// rendezvous-hashed placement, retries, hedging, and graceful
-	// degradation to in-process execution; empty keeps all builds local.
-	Fleet []string
-	// FleetOpts tunes the fleet dispatcher (deadlines, retries, hedging;
-	// zero values select fabric's defaults). Ignored when Fleet is empty.
-	FleetOpts fabric.Options
 	// JobTimeout bounds one request's total wait — queueing plus work —
 	// per job (0 disables). A timed-out build keeps running in the
 	// background and still fills the cache; only the waiting request
@@ -161,9 +151,8 @@ type Engine struct {
 	opts     Options
 	sem      chan struct{}
 	store    *Store
-	clusters *ClusterStore  // nil when cluster caching is disabled
-	fleet    *fabric.Remote // nil when no worker fleet is configured
-	coal     *coalescer     // nil when request coalescing is disabled
+	clusters *ClusterStore // nil when cluster caching is disabled
+	coal     *coalescer    // nil when request coalescing is disabled
 	c        counters
 
 	mu       sync.Mutex
@@ -196,9 +185,6 @@ func New(opts Options) *Engine {
 	if o.ClusterCacheSize >= 0 {
 		e.clusters = NewClusterStore(o.ClusterCacheSize, o.ClusterCacheBytes)
 	}
-	if len(o.Fleet) > 0 {
-		e.fleet = fabric.NewRemote(o.Fleet, o.FleetOpts)
-	}
 	if o.CoalesceWindow > 0 {
 		e.coal = newCoalescer(e, o.CoalesceWindow, o.CoalesceMaxBatch)
 	}
@@ -208,10 +194,6 @@ func New(opts Options) *Engine {
 // ClusterStore returns the per-cluster artifact store (nil when disabled
 // via a negative Options.ClusterCacheSize).
 func (e *Engine) ClusterStore() *ClusterStore { return e.clusters }
-
-// Fleet returns the worker-fleet dispatcher (nil when Options.Fleet is
-// empty and every build runs in-process).
-func (e *Engine) Fleet() *fabric.Remote { return e.fleet }
 
 // Options returns the engine's resolved configuration.
 func (e *Engine) Options() Options { return e.opts }
@@ -230,9 +212,6 @@ func (e *Engine) Stats() Stats {
 		s.ClusterCacheCap = e.clusters.Capacity()
 		s.ClusterCacheBytes = e.clusters.Bytes()
 		s.ClusterCacheMaxBytes = e.clusters.MaxBytes()
-	}
-	if e.fleet != nil {
-		s.Fleet = e.fleet.Stats()
 	}
 	e.streamMu.Lock()
 	s.StreamSessions = len(e.streams)
@@ -349,13 +328,6 @@ func (e *Engine) resolveBuild(g *graph.Graph, fp Fingerprint, bo BuildOpts) (cor
 		// builds populate it and incremental rebuilds draw on it.
 		cfg.Clusters = e.clusters
 		cfg.Factors = e.clusters
-	}
-	if e.fleet != nil {
-		// Every sharded build's clusters go through the fleet dispatcher;
-		// it degrades to in-process execution on its own, so wiring it
-		// unconditionally never makes a build fail that would have
-		// succeeded locally.
-		cfg.Dispatcher = e.fleet
 	}
 	key := fp.Key()
 	if threshold > 0 && g.N > threshold {
@@ -519,7 +491,6 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 			e.c.shardsBuilt.Add(int64(st.Shards))
 		}
 		e.c.clustersReused.Add(int64(st.ClustersReused))
-		e.c.clustersRemote.Add(int64(st.ClustersRemote))
 	}
 	if ps := h.PrecondStats(); ps != nil && ps.Kind == precond.Schwarz.String() {
 		e.c.schwarzPreconds.Add(1)

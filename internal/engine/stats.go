@@ -3,7 +3,6 @@ package engine
 import (
 	"sync/atomic"
 
-	"repro/internal/fabric"
 	"repro/internal/tdigest"
 )
 
@@ -41,13 +40,6 @@ type Stats struct {
 	// (0 = count-bounded only).
 	ClusterCacheBytes    int64 `json:"cluster_cache_bytes"`
 	ClusterCacheMaxBytes int64 `json:"cluster_cache_max_bytes"`
-	// ClustersRemote counts clusters whose construction a worker fleet
-	// answered, summed across sharded builds (0 on fleet-less engines).
-	ClustersRemote int64 `json:"clusters_remote"`
-	// Fleet is the worker-fleet telemetry — per-worker health and
-	// counters, degradation totals, remote latency — when a fleet is
-	// configured; absent otherwise.
-	Fleet *fabric.Stats `json:"fleet,omitempty"`
 	// Solve-batching behaviour: block solves executed (window-coalesced
 	// batches plus explicit batched requests), requests that joined an
 	// already-open coalescing batch instead of solving alone, and the
@@ -115,7 +107,6 @@ type counters struct {
 	schwarzPreconds    atomic.Int64
 	incrementalBuilds  atomic.Int64
 	clustersReused     atomic.Int64
-	clustersRemote     atomic.Int64
 	solveBatches       atomic.Int64
 	solvesCoalesced    atomic.Int64
 	batchSizes         [batchSizeCap + 1]atomic.Int64
@@ -183,7 +174,6 @@ func (c *counters) snapshot() Stats {
 		SchwarzPreconds:   c.schwarzPreconds.Load(),
 		IncrementalBuilds: c.incrementalBuilds.Load(),
 		ClustersReused:    c.clustersReused.Load(),
-		ClustersRemote:    c.clustersRemote.Load(),
 		SolveBatches:      c.solveBatches.Load(),
 		SolvesCoalesced:   c.solvesCoalesced.Load(),
 		Jobs:              c.jobs.Load(),

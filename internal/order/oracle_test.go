@@ -17,11 +17,10 @@ import (
 	"repro/internal/sparsify"
 )
 
-// The oracles below are the container/heap and sort.Slice implementations
-// of ComputeMinDegree and ComputeRCM (with RCM's helpers) as of commit
-// 34e4a71, copied verbatim apart from their names and the order.
-// qualifier. The package promises bit-identical permutations, so every
-// fixture must give exactly the oracle's answer.
+// The oracle below is the container/heap implementation of
+// ComputeMinDegree as of commit 34e4a71, copied verbatim apart from its
+// name and the order. qualifier. The package promises bit-identical
+// permutations, so every fixture must give exactly the oracle's answer.
 
 type mdItem struct {
 	deg, v int
@@ -97,84 +96,6 @@ func oracleMinDegree(a order.Adjacency) []int {
 		adj[v] = nil
 	}
 	return perm
-}
-
-func oracleRCM(a order.Adjacency) []int {
-	n := a.Len()
-	deg := degrees(a)
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	var nbr []int
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		start := pseudoPeripheral(a, s, deg)
-		visited[start] = true
-		queue = append(queue[:0], start)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			order = append(order, u)
-			nbr = nbr[:0]
-			a.Visit(u, func(v int) {
-				if !visited[v] {
-					visited[v] = true
-					nbr = append(nbr, v)
-				}
-			})
-			sort.Slice(nbr, func(x, y int) bool { return deg[nbr[x]] < deg[nbr[y]] })
-			queue = append(queue, nbr...)
-		}
-	}
-	// Reverse for RCM.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
-func degrees(a order.Adjacency) []int {
-	deg := make([]int, a.Len())
-	for u := range deg {
-		a.Visit(u, func(int) { deg[u]++ })
-	}
-	return deg
-}
-
-func pseudoPeripheral(a order.Adjacency, s int, deg []int) int {
-	n := a.Len()
-	dist := make([]int, n)
-	cur := s
-	bestEcc := -1
-	for iter := 0; iter < 4; iter++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[cur] = 0
-		q := []int{cur}
-		last := cur
-		ecc := 0
-		for qi := 0; qi < len(q); qi++ {
-			u := q[qi]
-			a.Visit(u, func(v int) {
-				if dist[v] == -1 {
-					dist[v] = dist[u] + 1
-					if dist[v] > ecc || (dist[v] == ecc && deg[v] < deg[last]) {
-						ecc = dist[v]
-						last = v
-					}
-					q = append(q, v)
-				}
-			})
-		}
-		if ecc <= bestEcc {
-			break
-		}
-		bestEcc = ecc
-		cur = last
-	}
-	return cur
 }
 
 // adjList is an adjacency-list graph; Visit reports neighbors in list
@@ -306,17 +227,6 @@ func TestMinDegreeMatchesOracle(t *testing.T) {
 	for _, fx := range oracleFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			got, want := order.ComputeMinDegree(fx.a), oracleMinDegree(fx.a)
-			if !slices.Equal(got, want) {
-				t.Fatalf("permutation differs from the oracle (first 10: %v vs %v)", head(got), head(want))
-			}
-		})
-	}
-}
-
-func TestRCMMatchesOracle(t *testing.T) {
-	for _, fx := range oracleFixtures() {
-		t.Run(fx.name, func(t *testing.T) {
-			got, want := order.ComputeRCM(fx.a), oracleRCM(fx.a)
 			if !slices.Equal(got, want) {
 				t.Fatalf("permutation differs from the oracle (first 10: %v vs %v)", head(got), head(want))
 			}

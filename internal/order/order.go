@@ -1,184 +1,50 @@
 // Package order provides fill-reducing orderings for sparse Cholesky
-// factorization: reverse Cuthill–McKee (RCM), lazy minimum degree (MD), and
-// BFS-separator nested dissection (ND). These stand in for the AMD ordering
-// CHOLMOD uses in the paper's experimental setup.
+// factorization: lazy minimum degree (MD) and BFS-separator nested
+// dissection (ND). These stand in for the AMD ordering CHOLMOD uses in the
+// paper's experimental setup.
 //
 // All orderings return a permutation perm with perm[newIdx] = oldIdx.
 //
 // Orderings are deterministic functions of the adjacency and its visit
 // order, and the implementations keep them bit-identical across rewrites:
-// ComputeMinDegree's typed heap and ComputeRCM's neighbor sort reproduce
-// the container/heap and sort.Slice versions they replaced, which the
-// package tests keep as oracles (fixed graphs plus FuzzComputeMinDegree).
+// ComputeMinDegree's typed heap reproduces the container/heap version it
+// replaced, which the package tests keep as an oracle (fixed graphs plus
+// FuzzComputeMinDegree).
 package order
 
 import (
-	"cmp"
 	"slices"
 )
 
 // Adjacency is the minimal graph view orderings need: vertex count and a
-// neighbor iterator. internal/graph.Graph satisfies it via Adapter.
+// neighbor iterator.
 type Adjacency interface {
 	Len() int
 	Visit(u int, fn func(v int))
 }
 
-// Method selects an ordering algorithm.
-type Method int
-
-const (
-	// Auto picks MinDegree for small or tree-like graphs and
-	// NestedDissection for large mesh-like graphs. It is the zero value
-	// deliberately: a zero Options in internal/chol must select a real
-	// fill-reducing ordering, never the identity.
-	Auto Method = iota
-	// RCM is reverse Cuthill–McKee: cheap, bandwidth-reducing.
-	RCM
-	// MinDegree is a lazy minimum-degree ordering; excellent on
-	// ultra-sparse (tree-like) graphs such as sparsifiers.
-	MinDegree
-	// NestedDissection recursively splits the graph with BFS-level
-	// separators; the right choice for large meshes and grids.
-	NestedDissection
-	// Natural keeps the input order (identity permutation).
-	Natural
-)
-
-func (m Method) String() string {
-	switch m {
-	case Natural:
-		return "natural"
-	case RCM:
-		return "rcm"
-	case MinDegree:
-		return "mindeg"
-	case NestedDissection:
-		return "nd"
-	case Auto:
-		return "auto"
+// Compute returns the fill-reducing ordering chol.New uses by default:
+// minimum degree for small or tree-like graphs, nested dissection for
+// large mesh-like ones.
+func Compute(a Adjacency) []int {
+	n := a.Len()
+	deg2 := 0
+	for u := 0; u < n; u++ {
+		a.Visit(u, func(int) { deg2++ })
 	}
-	return "unknown"
-}
-
-// Compute returns the permutation for the requested method.
-func Compute(a Adjacency, m Method) []int {
-	switch m {
-	case Natural:
-		perm := make([]int, a.Len())
-		for i := range perm {
-			perm[i] = i
-		}
-		return perm
-	case RCM:
-		return ComputeRCM(a)
-	case MinDegree:
+	avgDeg := 0.0
+	if n > 0 {
+		avgDeg = float64(deg2) / float64(n)
+	}
+	// Minimum degree shines on ultra-sparse (tree-like) graphs — the
+	// sparsifier Laplacians — where elimination fronts stay tiny. On
+	// mesh/grid-like graphs its lazy clique formation blows up, so
+	// anything denser than ~2.6 average degree goes to nested
+	// dissection once it is big enough to matter.
+	if avgDeg <= 2.6 || n <= 2000 {
 		return ComputeMinDegree(a)
-	case NestedDissection:
-		return ComputeND(a)
-	case Auto:
-		n := a.Len()
-		deg2 := 0
-		for u := 0; u < n; u++ {
-			a.Visit(u, func(int) { deg2++ })
-		}
-		avgDeg := 0.0
-		if n > 0 {
-			avgDeg = float64(deg2) / float64(n)
-		}
-		// Minimum degree shines on ultra-sparse (tree-like) graphs — the
-		// sparsifier Laplacians — where elimination fronts stay tiny. On
-		// mesh/grid-like graphs its lazy clique formation blows up, so
-		// anything denser than ~2.6 average degree goes to nested
-		// dissection once it is big enough to matter.
-		if avgDeg <= 2.6 || n <= 2000 {
-			return ComputeMinDegree(a)
-		}
-		return ComputeND(a)
 	}
-	panic("order: unknown method")
-}
-
-// ComputeRCM returns the reverse Cuthill–McKee ordering, processing each
-// connected component from a pseudo-peripheral start vertex.
-func ComputeRCM(a Adjacency) []int {
-	n := a.Len()
-	deg := degrees(a)
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	var nbr []int
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		start := pseudoPeripheral(a, s, deg)
-		visited[start] = true
-		queue = append(queue[:0], start)
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			order = append(order, u)
-			nbr = nbr[:0]
-			a.Visit(u, func(v int) {
-				if !visited[v] {
-					visited[v] = true
-					nbr = append(nbr, v)
-				}
-			})
-			slices.SortFunc(nbr, func(x, y int) int { return cmp.Compare(deg[x], deg[y]) })
-			queue = append(queue, nbr...)
-		}
-	}
-	// Reverse for RCM.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
-}
-
-func degrees(a Adjacency) []int {
-	deg := make([]int, a.Len())
-	for u := range deg {
-		a.Visit(u, func(int) { deg[u]++ })
-	}
-	return deg
-}
-
-// pseudoPeripheral finds an approximate peripheral vertex of s's component
-// by repeated farthest-vertex BFS (at most 4 sweeps).
-func pseudoPeripheral(a Adjacency, s int, deg []int) int {
-	n := a.Len()
-	dist := make([]int, n)
-	cur := s
-	bestEcc := -1
-	for iter := 0; iter < 4; iter++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[cur] = 0
-		q := []int{cur}
-		last := cur
-		ecc := 0
-		for qi := 0; qi < len(q); qi++ {
-			u := q[qi]
-			a.Visit(u, func(v int) {
-				if dist[v] == -1 {
-					dist[v] = dist[u] + 1
-					if dist[v] > ecc || (dist[v] == ecc && deg[v] < deg[last]) {
-						ecc = dist[v]
-						last = v
-					}
-					q = append(q, v)
-				}
-			})
-		}
-		if ecc <= bestEcc {
-			break
-		}
-		bestEcc = ecc
-		cur = last
-	}
-	return cur
+	return ComputeND(a)
 }
 
 // --- minimum degree ---
@@ -320,8 +186,8 @@ const ndLeafSize = 200
 
 // ComputeND returns a nested-dissection ordering: the graph is recursively
 // bisected by a middle BFS level rooted at a pseudo-peripheral vertex; parts
-// are ordered first and the separator last. Leaves fall back to RCM-style
-// local ordering.
+// are ordered first and the separator last. Leaves are ordered
+// breadth-first.
 func ComputeND(a Adjacency) []int {
 	n := a.Len()
 	perm := make([]int, 0, n)

@@ -3,7 +3,9 @@ package shard_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,5 +76,65 @@ func TestStreamedRunPropagatesErrors(t *testing.T) {
 		if local.EdgeIdx[i] != scrambled.EdgeIdx[i] {
 			t.Fatalf("builds disagree at edge %d: %d vs %d", i, local.EdgeIdx[i], scrambled.EdgeIdx[i])
 		}
+	}
+}
+
+// stallDispatcher holds every cluster build until its context ends, and
+// counts the builds that started.
+type stallDispatcher struct{ started atomic.Int64 }
+
+func (s *stallDispatcher) Dispatch(ctx context.Context, req *shard.ClusterRequest) (*shard.ClusterResult, error) {
+	s.started.Add(1)
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestRunCancelMidBuild cancels Run while two cluster builds are in
+// flight: Run must return the cancellation promptly (not a hang, not a
+// half-stitched result), and none of its goroutines may outlive it.
+func TestRunCancelMidBuild(t *testing.T) {
+	g := gen.Grid2D(32, 32, 2)
+	sd := &stallDispatcher{}
+	opts := shard.Options{Shards: 8, Dispatcher: sd, Sparsify: sparsify.Options{Seed: 3, Workers: 2}}
+	plan, err := shard.NewPlan(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := shard.Run(ctx, g, plan, opts)
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for sd.started.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("no two cluster builds started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after cancellation")
+	}
+
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak after canceled build: %d before, %d after", before, n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -90,9 +90,8 @@ type Options struct {
 	// only dirty clusters miss.
 	Cache ClusterCache
 	// Dispatcher, when non-nil, executes each non-tiny, cache-missing
-	// cluster build (internal/fabric: in-process, or fanned out to a
-	// remote worker fleet). Nil builds every cluster in-process — the
-	// behaviour predating the fabric.
+	// cluster build in place of BuildCluster, so a caller can time or
+	// intercept it (see Dispatcher). Nil calls BuildCluster directly.
 	Dispatcher Dispatcher
 	// Localize, set for delta rebuilds, carries the base build's state:
 	// it marks the clusters a delta touched dirty, so the stitch adopts

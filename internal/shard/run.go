@@ -142,9 +142,9 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	keys := make([]string, plan.K)
 
 	// ER clusters return importance-reweighted edges, which the
-	// index-free endpoint-pair representation of the cluster cache and
-	// the fabric protocol cannot carry — so ER builds every cluster
-	// locally and fresh, and collects the weight overrides here.
+	// index-free endpoint-pair representation of the cluster cache
+	// cannot carry — so ER builds every cluster fresh, and collects the
+	// weight overrides here.
 	// Clusters write only their own edge indices, so the concurrent
 	// stores never collide. For the same reason ER builds adopt no base
 	// decisions: every cluster is dirty.
@@ -175,9 +175,7 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	// Each worker owns the clusters it pulls; the per-cluster option set
 	// pins Workers to 1 so parallelism lives at the cluster level only
 	// (nested scoring pools would oversubscribe and thrash scratch space).
-	// Non-tiny clusters go through the Dispatcher when one is configured
-	// — the fabric's seam: the request is self-contained and the result
-	// is index-free, so the build can run on another machine.
+	// Non-tiny clusters go through the Dispatcher when one is configured.
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -215,8 +213,7 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 				perShard[ci].Edges = cl.Local.M()
 				if cl.Local.M() <= tinyClusterEdges {
 					// On a handful of edges the spanning tree IS most of
-					// the graph; keep the cluster whole locally — an RPC
-					// would cost more than the build.
+					// the graph; keep the cluster whole.
 					start := time.Now()
 					for _, ge := range cl.GlobalEdge {
 						inSub[ge] = true
@@ -231,7 +228,7 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 				// Decorrelate per-cluster randomness while keeping the
 				// whole build reproducible from the caller's seed.
 				co.Seed = seed
-				req := &ClusterRequest{Index: ci, Key: keys[ci], Cluster: cl, Opts: co}
+				req := &ClusterRequest{Index: ci, Cluster: cl, Opts: co}
 				var cres *ClusterResult
 				if opts.Dispatcher != nil && !erMode {
 					cres, errs[ci] = opts.Dispatcher.Dispatch(ctx, req)
@@ -250,7 +247,6 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 				}
 				phases[ci] = cres.Stats
 				perShard[ci].SparsifierEdges = len(cres.Edges)
-				perShard[ci].Remote = cres.Remote
 				perShard[ci].Time = time.Since(start)
 				if opts.Cache != nil && !erMode {
 					opts.Cache.AddCluster(keys[ci], cres.Edges)
@@ -297,9 +293,6 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	for i := range perShard {
 		if perShard[i].Reused {
 			st.ClustersReused++
-		}
-		if perShard[i].Remote {
-			st.ClustersRemote++
 		}
 	}
 

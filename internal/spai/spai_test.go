@@ -20,11 +20,24 @@ func factorOf(n, extra int, seed int64) (*sparse.CSC, *chol.Factor) {
 		shift[i] = 0.05
 	}
 	a := lap.Laplacian(g, shift)
-	f, err := chol.New(a, chol.Options{Ordering: order.MinDegree})
+	f, err := chol.New(a, chol.Options{Perm: order.ComputeMinDegree(cscAdj{a})})
 	if err != nil {
 		panic(err)
 	}
 	return a, f
+}
+
+// cscAdj is a's off-diagonal pattern as an ordering input, visited the
+// way chol.New visits it.
+type cscAdj struct{ a *sparse.CSC }
+
+func (c cscAdj) Len() int { return c.a.Cols }
+func (c cscAdj) Visit(u int, fn func(v int)) {
+	for p := c.a.ColPtr[u]; p < c.a.ColPtr[u+1]; p++ {
+		if v := c.a.RowIdx[p]; v != u {
+			fn(v)
+		}
+	}
 }
 
 // denseInvL computes L⁻¹ densely for comparison.

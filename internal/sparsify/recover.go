@@ -77,11 +77,6 @@ type ShardStats struct {
 	CutAdopted      int
 	CutRepaired     int
 	DirtyClusters   int
-	// ClustersRemote counts clusters whose sparsifier came back from a
-	// remote fabric worker; the difference to Shards (minus reused and
-	// tiny clusters) ran in-process — including remote dispatches that
-	// degraded to the local fallback.
-	ClustersRemote int
 
 	PerShard []ShardBuild
 }
@@ -95,8 +90,6 @@ type ShardBuild struct {
 	// Reused reports the cluster's sparsifier came from the cluster
 	// cache (fingerprint hit) instead of a fresh Algorithm-2 run.
 	Reused bool
-	// Remote reports the cluster was built by a remote fabric worker.
-	Remote bool
 }
 
 // RecoverOffSubgraph runs one general densification round (eq. 20) of

@@ -8,7 +8,7 @@ import (
 // Recorder is a concurrency-safe latency recorder: one digest of the
 // observations in microseconds plus their exact count and sum. The zero
 // value is ready to use. Observe and Snapshot each take one short mutex
-// hold, so engine jobs and fleet dispatches can share a Recorder.
+// hold, so concurrent engine jobs can share a Recorder.
 type Recorder struct {
 	mu  sync.Mutex
 	td  *TDigest

@@ -6,7 +6,7 @@
 // orders of magnitude away — exactly the failure mode of fixed-bucket
 // latency histograms, where every sub-bucket observation rounds to the
 // same edge. Recorder wraps one digest with an exact count and sum for
-// the engine's and the fleet's latency tracks.
+// the engine's latency tracks.
 //
 // The implementation is the merging variant: points accumulate in a
 // small buffer and are merged into the sorted centroid list in one

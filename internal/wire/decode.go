@@ -1,6 +1,6 @@
 // Package wire is the service's hand-written JSON codec for its bulk
-// arrays: edge lists, deltas, right-hand sides and vertex maps on the way
-// in, sparsifier edges and solutions on the way out.
+// arrays: edge lists, deltas and right-hand sides on the way in,
+// sparsifier edges, solutions and partitions on the way out.
 //
 // The decoder is a byte scanner over a whole request body. It accepts
 // exactly the documents json.Decoder.Decode accepts for the request
@@ -167,19 +167,6 @@ func (d *Decoder) Int(dst *int) error {
 	return nil
 }
 
-// Int64 is Int for an int64 field.
-func (d *Decoder) Int64(dst *int64) error {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	v, err := d.intValue()
-	if err != nil {
-		return err
-	}
-	*dst = v
-	return nil
-}
-
 // Float decodes a float64 field; null leaves it unchanged.
 func (d *Decoder) Float(dst *float64) error {
 	if d.peek() == 'n' {
@@ -201,11 +188,6 @@ func (d *Decoder) Floats(dst *[]float64) error {
 // FloatRows decodes a [][]float64 field in place (a null row clears it).
 func (d *Decoder) FloatRows(dst *[][]float64) error {
 	return decodeSlice(d, dst, nil, d.Floats)
-}
-
-// Ints decodes a []int field in place.
-func (d *Decoder) Ints(dst *[]int) error {
-	return decodeSlice(d, dst, nil, d.Int)
 }
 
 // decodeSlice decodes a JSON array into *dst with encoding/json's slice

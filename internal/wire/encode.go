@@ -176,23 +176,3 @@ func (e *Encoder) Edges(edges []graph.Edge) {
 	}
 	e.buf = append(e.buf, ']')
 }
-
-// Pairs appends [u,v] integer pairs; nil renders as null.
-func (e *Encoder) Pairs(pairs [][2]int) {
-	if pairs == nil {
-		e.Raw("null")
-		return
-	}
-	e.buf = append(e.buf, '[')
-	for i, p := range pairs {
-		if i > 0 {
-			e.buf = append(e.buf, ',')
-		}
-		e.buf = append(e.buf, '[')
-		e.buf = strconv.AppendInt(e.buf, int64(p[0]), 10)
-		e.buf = append(e.buf, ',')
-		e.buf = strconv.AppendInt(e.buf, int64(p[1]), 10)
-		e.buf = append(e.buf, ']')
-	}
-	e.buf = append(e.buf, ']')
-}

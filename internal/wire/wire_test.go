@@ -82,9 +82,6 @@ func TestEncoderMatchesMarshal(t *testing.T) {
 	ints := []int{0, -3, 1 << 40}
 	check("ints", ints, func() { e.Ints(ints) })
 	check("nil ints", []int(nil), func() { e.Ints(nil) })
-	pairs := [][2]int{{0, 1}, {7, 3}}
-	check("pairs", pairs, func() { e.Pairs(pairs) })
-	check("nil pairs", [][2]int(nil), func() { e.Pairs(nil) })
 	for _, s := range []string{"", "g9-9-00ff", `quo"te\`, "<a&b>", "tab\tnl\n\x01", "héllo ", "bad\xffutf8"} {
 		check("string "+s, s, func() { e.String(s) })
 	}

@@ -1,9 +1,6 @@
 package trsparse
 
-import (
-	"repro/internal/core"
-	"repro/internal/fabric"
-)
+import "repro/internal/core"
 
 // Config is the resolved configuration of a Sparsifier handle. Build one
 // implicitly by passing Options to New; zero values select the paper's
@@ -202,26 +199,6 @@ func WithApplyWorkers(workers int) Option {
 // 4; negative disables the guard). See Sparsifier.Update.
 func WithRebalanceFactor(factor float64) Option {
 	return func(c *Config) { c.Rebalance = factor }
-}
-
-// WithFleet dispatches the clusters of sharded builds to a worker fleet
-// over HTTP: each url is the base address of a `trsparsed -worker`
-// process (e.g. "http://10.0.0.7:8372"). Placement uses rendezvous
-// hashing on the cluster fingerprint, so the same cluster keeps landing
-// on the same worker — and that worker's cluster cache keeps its hit
-// rate — across rebuilds; failed or straggling workers are retried,
-// hedged, and ultimately degraded to in-process execution, so a build
-// never fails because the fleet did. No urls (or none surviving
-// trimming) keeps every cluster build in-process. It has no effect
-// unless WithShardThreshold routes the graph into the sharded path.
-func WithFleet(urls ...string) Option {
-	return func(c *Config) {
-		if len(urls) == 0 {
-			c.Dispatcher = nil
-			return
-		}
-		c.Dispatcher = fabric.NewRemote(urls, fabric.Options{})
-	}
 }
 
 // WithSparsifierGraph skips construction and adopts p as the sparsifier.
