@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/gen"
@@ -101,14 +102,19 @@ func TestV2StreamLifecycle(t *testing.T) {
 		t.Fatalf("generation = %d, want 2", pr.Generation)
 	}
 
-	// Session stats converge once the async rebuild drains.
+	// Session stats converge once the async rebuild lands. PendingPushes
+	// reads 0 as soon as a drain starts, so wait for the update count
+	// too, with a deadline rather than a fixed number of polls.
 	var ss engine.StreamStats
-	for i := 0; i < 200; i++ {
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if resp := doReq(t, http.MethodGet, ts.URL+"/v2/stream/"+open.ID, nil, &ss); resp.StatusCode != http.StatusOK {
 			t.Fatalf("stats status %d", resp.StatusCode)
 		}
 		if ss.Updates >= 2 && ss.PendingPushes == 0 {
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("async rebuild did not land within 10s; last session stats: %+v", ss)
 		}
 	}
 	if ss.Pushes != 2 || ss.PendingPushes != 0 || ss.Failed != "" {
@@ -144,6 +150,58 @@ func TestV2StreamLifecycle(t *testing.T) {
 	var er errorResponse
 	if resp := doReq(t, http.MethodGet, ts.URL+"/v2/stream/"+open.ID, nil, &er); resp.StatusCode != http.StatusNotFound || er.Code != "unknown_stream" {
 		t.Fatalf("stats after close: status %d code %q", resp.StatusCode, er.Code)
+	}
+}
+
+// TestV2StreamRefactorFields: the ?wait=1 reply's update block and the
+// session's last_update report refactor_rows and reordered for each
+// rebuild, and /v2/stats counts the reorders in precond_reorders.
+func TestV2StreamRefactorFields(t *testing.T) {
+	ts, key := streamTestServer(t, engine.Options{})
+	var open streamOpenResponse
+	if resp := postJSON(t, ts.URL+"/v2/stream", streamOpenRequest{BaseKey: key}, &open); resp.StatusCode != http.StatusOK {
+		t.Fatalf("open status %d", resp.StatusCode)
+	}
+	const n = 1600
+	reorders := 0
+	for i, w := range []float64{5, 0.2, 3, 0.5} {
+		var raw struct {
+			Update map[string]json.RawMessage `json:"update"`
+		}
+		if resp := postJSON(t, ts.URL+"/v2/stream/"+open.ID+"?wait=1", updateRequest{
+			Set: [][3]float64{{0, 1, w}, {40, 41, w}},
+		}, &raw); resp.StatusCode != http.StatusOK {
+			t.Fatalf("push %d: status %d", i, resp.StatusCode)
+		}
+		var rows int
+		var reordered bool
+		if err := json.Unmarshal(raw.Update["refactor_rows"], &rows); err != nil {
+			t.Fatalf("push %d: refactor_rows: %v in %v", i, err, raw.Update)
+		}
+		if err := json.Unmarshal(raw.Update["reordered"], &reordered); err != nil {
+			t.Fatalf("push %d: reordered: %v in %v", i, err, raw.Update)
+		}
+		t.Logf("push %d: refactor_rows %d, reordered %v", i, rows, reordered)
+		if reordered {
+			reorders++
+		}
+		if (reordered && rows != n) || rows < 0 || rows > n {
+			t.Fatalf("push %d: refactor_rows %d, reordered %v", i, rows, reordered)
+		}
+		var ss engine.StreamStats
+		doReq(t, http.MethodGet, ts.URL+"/v2/stream/"+open.ID, nil, &ss)
+		if ss.Last.RefactorRows != rows || ss.Last.Reordered != reordered {
+			t.Fatalf("push %d: last_update %+v, wait reply rows %d reordered %v", i, ss.Last, rows, reordered)
+		}
+	}
+	if reorders == 0 || reorders == 4 {
+		t.Fatalf("%d of 4 rebuilds reordered; the pushes should show both outcomes", reorders)
+	}
+	var st map[string]json.RawMessage
+	doReq(t, http.MethodGet, ts.URL+"/v2/stats", nil, &st)
+	var got int
+	if err := json.Unmarshal(st["precond_reorders"], &got); err != nil || got != reorders {
+		t.Fatalf("precond_reorders = %s (err %v), want %d", st["precond_reorders"], err, reorders)
 	}
 }
 

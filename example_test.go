@@ -54,8 +54,9 @@ func ExampleSparsifier_Solve() {
 }
 
 // ExampleWithShards routes a graph through the partition-parallel
-// pipeline: clusters are sparsified concurrently and stitched, and the
-// handle carries per-shard telemetry.
+// pipeline: clusters are sparsified concurrently and stitched, the handle
+// carries per-shard telemetry, and the stitched sparsifier is factorized
+// whole, as an unsharded build's is.
 func ExampleWithShards() {
 	g := trsparse.Grid2D(40, 40, 1)
 	s, err := trsparse.New(context.Background(), g,
@@ -73,12 +74,13 @@ func ExampleWithShards() {
 	// Output:
 	// sharded: true
 	// clusters planned: true
-	// preconditioner: schwarz
+	// preconditioner: monolithic
 }
 
 // ExampleSparsifier_Update applies an edge delta incrementally: clusters
-// the delta does not touch keep their sparsifiers and Schwarz factors,
-// so the rebuild costs a fraction of a cold build.
+// the delta does not touch keep their sparsifiers, and the factor is
+// recomputed only in the rows the edit reaches, so the rebuild costs a
+// fraction of a cold build.
 func ExampleSparsifier_Update() {
 	g := trsparse.Grid2D(40, 40, 1)
 	s, err := trsparse.New(context.Background(), g,

@@ -11,9 +11,10 @@ import (
 // TestShardedBuildGolden pins the exact output of a sharded build of the
 // build-cold-sized circuit grid: the sparsifier's edge list (endpoints and
 // weight bits, in order) and the preconditioner factor's nonzero count,
-// for both preconditioner strategies. The fill-reducing orderings and the
-// sparse assembly sort decide both, so any change to those kernels that
-// is not bit-identical moves one of these figures.
+// for both preconditioner strategies, each requested explicitly, plus the
+// default, which must be the monolithic factor. The fill-reducing
+// orderings and the sparse assembly sort decide these figures, so any
+// change to those kernels that is not bit-identical moves one of them.
 //
 // The figures were recorded at commit 34e4a71, before the ordering heap
 // and the assembly sort were rewritten; a kernel change must leave them
@@ -26,8 +27,9 @@ func TestShardedBuildGolden(t *testing.T) {
 		edgesHash uint64
 		factorNNZ int
 	}{
-		{"schwarz", PrecondAuto, 0x36d7b6d11eb45487, 70151},
+		{"schwarz", PrecondSchwarz, 0x36d7b6d11eb45487, 70151},
 		{"monolithic", PrecondMonolithic, 0x36d7b6d11eb45487, 49373},
+		{"auto", PrecondAuto, 0x36d7b6d11eb45487, 49373},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

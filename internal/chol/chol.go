@@ -25,19 +25,35 @@ type Factor struct {
 	L    *sparse.CSC // lower triangular, diagonal first in each column
 	Perm []int       // perm[newIdx] = oldIdx
 	inv  []int       // inv[oldIdx] = newIdx
+
+	// freshNNZ is the nnz L had when Perm was last computed; Refactor
+	// holds its fill against it.
+	freshNNZ int
 }
 
 // EliminationTree computes the elimination tree of the symmetric matrix a
 // (full storage). parent[j] is j's parent, or -1 for roots.
-func EliminationTree(a *sparse.CSC) []int {
+func EliminationTree(a *sparse.CSC) []int { return permutedETree(a, nil, nil) }
+
+// permutedETree is EliminationTree(a.PermuteSym(perm)) without forming
+// the permuted matrix (the tree depends only on the pattern); nil perm
+// and inv mean the identity.
+func permutedETree(a *sparse.CSC, perm, inv []int) []int {
 	n := a.Cols
 	parent := make([]int, n)
 	ancestor := make([]int, n)
 	for k := 0; k < n; k++ {
 		parent[k] = -1
 		ancestor[k] = -1
-		for p := a.ColPtr[k]; p < a.ColPtr[k+1]; p++ {
+		col := k
+		if perm != nil {
+			col = perm[k]
+		}
+		for p := a.ColPtr[col]; p < a.ColPtr[col+1]; p++ {
 			i := a.RowIdx[p]
+			if inv != nil {
+				i = inv[i]
+			}
 			for i != -1 && i < k {
 				next := ancestor[i]
 				ancestor[i] = k
@@ -51,16 +67,16 @@ func EliminationTree(a *sparse.CSC) []int {
 	return parent
 }
 
-// ereach computes the nonzero pattern of row k of L: the set of columns
-// j < k with L[k,j] ≠ 0, in topological (ascending) order suitable for the
+// ereach computes the nonzero pattern of row k of L from the row indices
+// of column k of the permuted matrix: the set of columns j < k with
+// L[k,j] ≠ 0, in topological (ascending) order suitable for the
 // up-looking triangular solve. It returns the start index into s; the
-// pattern occupies s[top:n]. w is a workspace of flags (≥0 marked with k).
-func ereach(a *sparse.CSC, k int, parent []int, s, w []int) int {
-	n := a.Cols
-	top := n
+// pattern occupies s[top:len(s)]. w is a workspace of flags (≥0 marked
+// with k).
+func ereach(col []int, k int, parent []int, s, w []int) int {
+	top := len(s)
 	w[k] = k
-	for p := a.ColPtr[k]; p < a.ColPtr[k+1]; p++ {
-		i := a.RowIdx[p]
+	for _, i := range col {
 		if i >= k {
 			continue
 		}
@@ -75,7 +91,7 @@ func ereach(a *sparse.CSC, k int, parent []int, s, w []int) int {
 		for length > 0 {
 			length--
 			top--
-			s[top+0] = s[length]
+			s[top] = s[length]
 		}
 	}
 	return top
@@ -116,8 +132,26 @@ func New(a *sparse.CSC, opts Options) (*Factor, error) {
 	}
 	c := a.PermuteSym(perm)
 	parent := EliminationTree(c)
+	l := symbolic(c, parent)
+	if err := numeric(c, parent, l); err != nil {
+		return nil, err
+	}
+	return newFactor(l, perm, l.NNZ()), nil
+}
 
-	// Pass 1: count nonzeros per column of L using ereach.
+// newFactor wraps a computed L with its ordering.
+func newFactor(l *sparse.CSC, perm []int, freshNNZ int) *Factor {
+	f := &Factor{N: l.Cols, L: l, Perm: perm, inv: make([]int, l.Cols), freshNNZ: freshNNZ}
+	for newIdx, oldIdx := range perm {
+		f.inv[oldIdx] = newIdx
+	}
+	return f
+}
+
+// symbolic counts the nonzeros of every column of L with ereach and
+// returns L with its column pointers set and RowIdx/Val allocated.
+func symbolic(c *sparse.CSC, parent []int) *sparse.CSC {
+	n := c.Cols
 	colCount := make([]int, n)
 	s := make([]int, n)
 	w := make([]int, n)
@@ -126,7 +160,7 @@ func New(a *sparse.CSC, opts Options) (*Factor, error) {
 	}
 	for k := 0; k < n; k++ {
 		colCount[k]++ // diagonal
-		top := ereach(c, k, parent, s, w)
+		top := ereach(c.RowIdx[c.ColPtr[k]:c.ColPtr[k+1]], k, parent, s, w)
 		for t := top; t < n; t++ {
 			colCount[s[t]]++
 		}
@@ -138,55 +172,70 @@ func New(a *sparse.CSC, opts Options) (*Factor, error) {
 	nnz := l.ColPtr[n]
 	l.RowIdx = make([]int, nnz)
 	l.Val = make([]float64, nnz)
+	return l
+}
 
-	// Pass 2: numeric up-looking factorization.
+// numeric fills L (laid out by symbolic) with the up-looking
+// factorization of c, one row at a time.
+func numeric(c *sparse.CSC, parent []int, l *sparse.CSC) error {
+	n := c.Cols
+	s := make([]int, n)
+	w := make([]int, n)
+	for i := range w {
+		w[i] = -1
+	}
 	// next[j] = next free slot in column j (diagonal reserved at ColPtr[j]).
 	next := make([]int, n)
 	for j := 0; j < n; j++ {
 		next[j] = l.ColPtr[j] + 1
 		l.RowIdx[l.ColPtr[j]] = j // diagonal placeholder
 	}
-	for i := range w {
-		w[i] = -1
-	}
+	slots := make([]int, n)
 	x := make([]float64, n)
 	for k := 0; k < n; k++ {
-		// Scatter column k of C (upper part, rows ≤ k) into x.
-		top := ereach(c, k, parent, s, w)
-		var d float64
-		for p := c.ColPtr[k]; p < c.ColPtr[k+1]; p++ {
-			i := c.RowIdx[p]
-			if i < k {
-				x[i] = c.Val[p]
-			} else if i == k {
-				d = c.Val[p]
-			}
-		}
-		// Up-looking sparse triangular solve along the pattern.
-		for t := top; t < n; t++ {
-			j := s[t]
-			lkj := x[j] / l.Val[l.ColPtr[j]]
-			x[j] = 0
-			for p := l.ColPtr[j] + 1; p < next[j]; p++ {
-				x[l.RowIdx[p]] -= l.Val[p] * lkj
-			}
-			d -= lkj * lkj
-			p := next[j]
+		col := c.RowIdx[c.ColPtr[k]:c.ColPtr[k+1]]
+		top := ereach(col, k, parent, s, w)
+		for t, j := range s[top:] {
+			slots[t] = next[j]
+			l.RowIdx[next[j]] = k
 			next[j]++
-			l.RowIdx[p] = k
-			l.Val[p] = lkj
 		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%w (pivot %d, value %g)", ErrNotPD, k, d)
+		if err := solveRow(l, x, k, col, c.Val[c.ColPtr[k]:c.ColPtr[k+1]], s[top:], slots); err != nil {
+			return err
 		}
-		l.Val[l.ColPtr[k]] = math.Sqrt(d)
 	}
+	return nil
+}
 
-	f := &Factor{N: n, L: l, Perm: perm, inv: make([]int, n)}
-	for newIdx, oldIdx := range perm {
-		f.inv[oldIdx] = newIdx
+// solveRow computes row k of L by the up-looking sparse triangular solve
+// and stores it: colRows/colVals is column k of the permuted matrix,
+// pattern the row's ereach order, and slots[t] the slot of L[k,
+// pattern[t]], before which column pattern[t] holds exactly its rows
+// above k. x is a zero workspace and is left zero.
+func solveRow(l *sparse.CSC, x []float64, k int, colRows []int, colVals []float64, pattern, slots []int) error {
+	var d float64
+	for t, i := range colRows {
+		if i < k {
+			x[i] = colVals[t]
+		} else if i == k {
+			d = colVals[t]
+		}
 	}
-	return f, nil
+	for t, j := range pattern {
+		q := slots[t]
+		lkj := x[j] / l.Val[l.ColPtr[j]]
+		x[j] = 0
+		for p := l.ColPtr[j] + 1; p < q; p++ {
+			x[l.RowIdx[p]] -= l.Val[p] * lkj
+		}
+		d -= lkj * lkj
+		l.Val[q] = lkj
+	}
+	if d <= 0 || math.IsNaN(d) {
+		return fmt.Errorf("%w (pivot %d, value %g)", ErrNotPD, k, d)
+	}
+	l.Val[l.ColPtr[k]] = math.Sqrt(d)
+	return nil
 }
 
 // NNZ returns the number of stored entries of L (the fill-in measure used
@@ -399,7 +448,3 @@ func (f *Factor) LTSolve(y []float64) {
 // PermutedIndex maps an original vertex index to its position in the
 // factor's elimination order.
 func (f *Factor) PermutedIndex(oldIdx int) int { return f.inv[oldIdx] }
-
-// OriginalIndex maps an elimination-order position back to the original
-// vertex index.
-func (f *Factor) OriginalIndex(newIdx int) int { return f.Perm[newIdx] }

@@ -214,7 +214,7 @@ func TestPermutedIndexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for old := 0; old < 25; old++ {
-		if f.OriginalIndex(f.PermutedIndex(old)) != old {
+		if f.Perm[f.PermutedIndex(old)] != old {
 			t.Fatalf("perm/inv mismatch at %d", old)
 		}
 	}

@@ -61,12 +61,12 @@ type Config struct {
 	// K from ShardThreshold: ceil(N/ShardThreshold)).
 	Shards int
 	// Precond selects the preconditioner construction strategy for the
-	// pencil. precond.Auto (the zero value) picks Schwarz when the
-	// sparsifier was built through the sharded pipeline — the cluster
-	// structure is already paid for, and a monolithic factorization of
-	// the stitched sparsifier would be the one remaining superlinear
-	// cost — and the monolithic Cholesky otherwise. precond.Schwarz on a
-	// monolithic build plans clusters on the sparsifier subgraph first.
+	// pencil. precond.Auto (the zero value) picks the monolithic Cholesky
+	// of the sparsifier for every build, sharded or not; an Update
+	// refactors it under the base handle's ordering. precond.Schwarz
+	// opts into two-level Schwarz over the plan's clusters; on a
+	// monolithic build it plans clusters on the sparsifier subgraph
+	// first.
 	Precond precond.Kind
 	// Overlap overrides the Schwarz preconditioner's overlap layers
 	// (0 keeps the adaptive default ≈ √(N/K)/4; negative disables
@@ -273,28 +273,20 @@ func NewSparsifier(ctx context.Context, g *graph.Graph, cfg Config) (*Sparsifier
 }
 
 // precondBuilder resolves the configured preconditioner strategy into a
-// concrete builder. Auto picks Schwarz exactly when a sharded build left
-// its cluster assignment behind (an abandoned plan — the expander guard —
-// leaves none); an explicit Schwarz request on a monolithic or prebuilt
-// handle plans clusters on the sparsifier subgraph first, which is cheap:
-// the subgraph is tree-plus-α sparse.
+// concrete builder. Auto picks the monolithic factor; an explicit Schwarz
+// request uses the sharded build's cluster assignment, or on a
+// monolithic, prebuilt or abandoned-plan handle plans clusters on the
+// sparsifier subgraph first, which is cheap: the subgraph is
+// tree-plus-α sparse.
 func (s *Sparsifier) precondBuilder(ctx context.Context, cfg Config) (precond.Builder, error) {
+	if cfg.Precond != precond.Schwarz {
+		return precond.NewMonolithic(), nil
+	}
 	var assign []int
 	var keys []string
 	if s.res != nil && s.res.Shards != nil {
 		assign = s.res.Shards.Assign
 		keys = s.res.Shards.ClusterKeys
-	}
-	kind := cfg.Precond
-	if kind == precond.Auto {
-		if assign != nil {
-			kind = precond.Schwarz
-		} else {
-			kind = precond.Monolithic
-		}
-	}
-	if kind != precond.Schwarz {
-		return precond.NewMonolithic(), nil
 	}
 	if assign == nil {
 		plan, err := shard.NewPlan(ctx, s.sub, shard.Options{
@@ -464,11 +456,10 @@ func (s *Sparsifier) SolveBatchTol(ctx context.Context, bs [][]float64, tol floa
 // CondNumber estimates the largest generalized eigenvalue of the
 // preconditioned pencil by Lanczos with the configured step count and
 // seed: exactly κ(L_G, L_P) — the paper's quality metric — when the
-// handle carries the monolithic factorization, and the effective
-// condition number λmax(M⁻¹ L_G) PCG actually sees (Schwarz
-// decomposition penalty included) when it carries the sharded Schwarz
-// preconditioner (the Auto default for sharded builds). Force
-// precond.Monolithic to measure the paper's κ on a sharded build.
+// handle carries the monolithic factorization (the Auto default), and
+// the effective condition number λmax(M⁻¹ L_G) PCG actually sees
+// (Schwarz decomposition penalty included) when it carries the opt-in
+// Schwarz preconditioner.
 func (s *Sparsifier) CondNumber(ctx context.Context) (float64, error) {
 	return s.CondNumberWith(ctx, s.cfg.LanczosSteps, s.cfg.Sparsify.Seed)
 }
@@ -484,7 +475,7 @@ func (s *Sparsifier) CondNumberWith(ctx context.Context, steps int, seed int64) 
 // Hutchinson estimator using the configured probe count and seed:
 // Tr(L_P⁻¹ L_G) — the paper's condition-number proxy (eq. 5) — under the
 // monolithic strategy, and Tr(M⁻¹ L_G) for the effective preconditioner
-// M under Schwarz (the Auto default for sharded builds; see CondNumber).
+// M under the opt-in Schwarz strategy (see CondNumber).
 func (s *Sparsifier) TraceProxy(ctx context.Context) (float64, error) {
 	return s.TraceProxyWith(ctx, s.cfg.TraceProbes, s.cfg.Sparsify.Seed)
 }

@@ -61,6 +61,13 @@ type UpdateStats struct {
 	// Compacted reports DropZeros ran during this update.
 	StoredZeros int
 	Compacted   bool
+	// RefactorRows counts the rows of the monolithic factor this update
+	// recomputed under the base handle's ordering; the others were
+	// copied. Reordered reports that the factor's fill passed the
+	// reorder bound, so L_P was ordered and factorized afresh. Both stay
+	// zero under the Schwarz strategy.
+	RefactorRows int
+	Reordered    bool
 }
 
 // Update builds a new handle for the graph that results from applying
@@ -70,13 +77,16 @@ type UpdateStats struct {
 //
 // For a handle built through the sharded pipeline the rebuild is
 // incremental AND localized: the retained plan assignment maps the delta
-// onto dirty clusters, clean clusters' sparsifier edges and Schwarz
-// factors are adopted verbatim (ShardStats.ClustersReused /
-// PrecondStats.FactorsReused report how many), the stitch re-decides only
-// cut edges incident to dirty clusters (ShardStats.StitchLocalized), and
-// the pencil's Laplacians are patched in place instead of reassembled
-// (UpdateStats). Monolithic and prebuilt handles fall back to a full
-// rebuild — still a correct Update, with nothing reused.
+// onto dirty clusters, clean clusters' sparsifier edges (and, under the
+// opt-in Schwarz strategy, their factors) are adopted verbatim
+// (ShardStats.ClustersReused / PrecondStats.FactorsReused report how
+// many), the stitch re-decides only cut edges incident to dirty clusters
+// (ShardStats.StitchLocalized), the pencil's Laplacians are patched in
+// place instead of reassembled, and the monolithic factor is refactored
+// under the base ordering along the elimination-tree ancestors of the
+// changed columns only (UpdateStats). Handles built without the sharded
+// pipeline fall back to a full rebuild — still a correct Update, with
+// nothing reused.
 func (s *Sparsifier) Update(ctx context.Context, d graph.Delta) (*Sparsifier, error) {
 	p, err := d.ApplyPatch(s.BaseGraph())
 	if err != nil {
@@ -167,10 +177,16 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	if err != nil {
 		return nil, err
 	}
-	pen, upd, lgZeros, lpZeros, err := updatedPencil(base, newG, p, res, builder)
+	var baseFactor *chol.Factor
+	if builder.Kind() == precond.Monolithic.String() {
+		baseFactor = base.pen.Factor()
+	}
+	pen, upd, lgZeros, lpZeros, err := updatedPencil(base, newG, p, res, builder, baseFactor)
 	if err != nil {
 		return nil, err
 	}
+	upd.RefactorRows = pen.PreStats.RefactorRows
+	upd.Reordered = pen.PreStats.Reordered
 	out.pen = pen
 	out.upd = upd
 	out.lgZeros, out.lpZeros = lgZeros, lpZeros
@@ -229,19 +245,26 @@ const storedZeroCompactionDiv = 8
 // shift — O(dirty) instead of O(n + m) — with per-side fallback to cold
 // assembly on any script mismatch. Otherwise this is NewPencilWith.
 //
+// A non-nil baseFactor replaces builder with a refactor under that
+// factor's ordering. It is told the L_P columns the patch script touched,
+// or every column once L_P was assembled cold or compacted.
+//
 // The patched pencil keeps the BASE shift: lap.Shift is a global constant
 // (rel × mean weighted degree), so a delta nudges it everywhere and
 // re-deriving it would force a full-diagonal rewrite. The drift is
 // bounded by the delta's share of total weight — the same stale-values
 // argument that lets Schwarz factors be reused — and resets to exact on
 // the next cold rebuild or replan.
-func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *sparsify.Result, builder precond.Builder) (*Pencil, *UpdateStats, int, int, error) {
+func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *sparsify.Result, builder precond.Builder, baseFactor *chol.Factor) (*Pencil, *UpdateStats, int, int, error) {
 	st := res.Shards
 	upd := &UpdateStats{Localized: st != nil && st.StitchLocalized}
 	patchable := p != nil && base.pen != nil &&
 		st != nil && st.Incremental && st.StitchLocalized && !st.Abandoned &&
 		st.CutRepaired == 0 && res.Reweight == nil
 	if !patchable {
+		if baseFactor != nil {
+			builder = precond.NewRefactor(baseFactor, nil)
+		}
 		t := time.Now()
 		pen, err := NewPencilWith(newG, res.Sparsifier, res.Shift, builder)
 		if err != nil {
@@ -276,9 +299,11 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 	if ok {
 		lp, dz, err = lap.Patch(base.pen.LP, newSub, shift, sc)
 	}
+	var changed []int // L_P columns the script touched; nil: every column
 	if ok && err == nil {
 		upd.LPPatched = true
 		lpZeros += dz
+		changed = sc.Touched(newSub)
 	} else {
 		a := time.Now()
 		lp = lap.Laplacian(newSub, shift)
@@ -295,9 +320,13 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 		lp = lp.DropZeros()
 		lpZeros = 0
 		upd.Compacted = true
+		changed = nil // dropped slots change the pattern anywhere
 	}
 	upd.PatchTime = time.Since(t) - upd.AssembleTime
 	upd.StoredZeros = lgZeros + lpZeros
+	if baseFactor != nil {
+		builder = precond.NewRefactor(baseFactor, changed)
+	}
 
 	pen, err := newPencilFromLaplacians(newG.N, shift, lg, lp, builder)
 	if err != nil {

@@ -96,8 +96,8 @@ type Options struct {
 	// from the effective threshold).
 	Shards int
 	// Precond is the default preconditioner construction strategy for
-	// built artifacts (precond.Auto picks Schwarz for sharded builds and
-	// monolithic otherwise; see core.Config.Precond).
+	// built artifacts (precond.Auto picks the monolithic factor for every
+	// build; see core.Config.Precond).
 	Precond precond.Kind
 	// ApplyWorkers bounds the per-apply goroutine fan-out of Schwarz
 	// preconditioners built by this engine: same-color block corrections
@@ -495,6 +495,9 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 	if ps := h.PrecondStats(); ps != nil && ps.Kind == precond.Schwarz.String() {
 		e.c.schwarzPreconds.Add(1)
 	}
+	if up := h.UpdateStats(); up != nil && up.Reordered {
+		e.c.precondReorders.Add(1)
+	}
 	c.art = &Artifact{
 		Fingerprint: fp,
 		Key:         key,
@@ -507,9 +510,10 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 
 // Update builds the artifact for "the base artifact's graph plus delta
 // d", reusing the base's plan and the cluster store: untouched clusters'
-// sparsifiers and Schwarz factors are adopted verbatim, the stitch is
-// localized to the dirty clusters, and the pencil is patched in place
-// when the delta stays inside the dirty region (the streaming-delta fast
+// sparsifiers (and, under Schwarz, their factors) are adopted verbatim,
+// the stitch is localized to the dirty clusters, the pencil is patched in
+// place when the delta stays inside the dirty region, and the monolithic
+// factor is refactored under the base ordering (the streaming-delta fast
 // path; see core.UpdateSparsifierPatch). The new artifact is stored under
 // the updated graph's own fingerprint key — replacing any whole-graph
 // entry already cached under that key, so later plain Sparsify requests

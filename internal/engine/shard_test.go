@@ -166,10 +166,10 @@ func TestPrecondInKeyAndStats(t *testing.T) {
 	}
 }
 
-// TestShardedBuildGetsSchwarzAutomatically: above the shard threshold the
-// handle both builds sharded and carries the Schwarz preconditioner —
-// the plan is threaded through to the pencil without being re-derived.
-func TestShardedBuildGetsSchwarzAutomatically(t *testing.T) {
+// TestShardedBuildGetsMonolithicByDefault: above the shard threshold the
+// handle builds sharded and, by default, carries the monolithic factor of
+// the stitched sparsifier, not Schwarz over the plan's clusters.
+func TestShardedBuildGetsMonolithicByDefault(t *testing.T) {
 	g := gen.Grid2D(40, 40, 1)
 	e := New(Options{ShardThreshold: 400})
 	art, _, err := e.Sparsify(context.Background(), g)
@@ -180,14 +180,11 @@ func TestShardedBuildGetsSchwarzAutomatically(t *testing.T) {
 		t.Fatal("build below threshold")
 	}
 	ps := art.Handle.PrecondStats()
-	if ps == nil || ps.Kind != "schwarz" {
-		t.Fatalf("sharded build precond = %+v, want schwarz", ps)
+	if ps == nil || ps.Kind != "monolithic" || ps.Clusters != 0 || ps.FactorNNZ <= 0 {
+		t.Fatalf("sharded build precond = %+v, want monolithic", ps)
 	}
-	if ps.Clusters != art.Handle.ShardStats().Shards {
-		t.Fatalf("precond clusters %d != plan shards %d", ps.Clusters, art.Handle.ShardStats().Shards)
-	}
-	if ps.CoarseSize != ps.Clusters {
-		t.Fatalf("coarse size %d != clusters %d", ps.CoarseSize, ps.Clusters)
+	if art.Handle.Pencil().Factor() == nil {
+		t.Fatal("sharded artifact has no monolithic factor")
 	}
 	// Compact (already run by the engine) retains the plan assignment and
 	// cluster keys — the incremental Update path maps deltas through them.
@@ -195,7 +192,7 @@ func TestShardedBuildGetsSchwarzAutomatically(t *testing.T) {
 		t.Fatalf("published artifact lost incremental scaffolding: assign=%v keys=%d shards=%d",
 			st.Assign != nil, len(st.ClusterKeys), st.Shards)
 	}
-	if s := e.Stats(); s.SchwarzPreconds != 1 || s.ShardedBuilds != 1 {
+	if s := e.Stats(); s.SchwarzPreconds != 0 || s.ShardedBuilds != 1 {
 		t.Fatalf("stats: schwarz_preconds=%d sharded_builds=%d", s.SchwarzPreconds, s.ShardedBuilds)
 	}
 }

@@ -30,11 +30,15 @@ type Stats struct {
 	// per planned cluster per sharded build).
 	IncrementalBuilds int64 `json:"incremental_builds"`
 	ClustersReused    int64 `json:"clusters_reused"`
-	ClusterHits       int64 `json:"cluster_hits"`
-	ClusterMisses     int64 `json:"cluster_misses"`
-	ClusterEvictions  int64 `json:"cluster_evictions"`
-	ClusterCacheLen   int   `json:"cluster_cache_len"`
-	ClusterCacheCap   int   `json:"cluster_cache_cap"`
+	// PrecondReorders counts incremental builds whose monolithic
+	// refactor passed the reorder bound (factor fill over 9/8 of the
+	// last fresh ordering's), so L_P was ordered afresh.
+	PrecondReorders  int64 `json:"precond_reorders"`
+	ClusterHits      int64 `json:"cluster_hits"`
+	ClusterMisses    int64 `json:"cluster_misses"`
+	ClusterEvictions int64 `json:"cluster_evictions"`
+	ClusterCacheLen  int   `json:"cluster_cache_len"`
+	ClusterCacheCap  int   `json:"cluster_cache_cap"`
 	// ClusterCacheBytes is the cluster store's accounted artifact
 	// footprint; ClusterCacheMaxBytes the configured byte budget
 	// (0 = count-bounded only).
@@ -107,6 +111,7 @@ type counters struct {
 	schwarzPreconds    atomic.Int64
 	incrementalBuilds  atomic.Int64
 	clustersReused     atomic.Int64
+	precondReorders    atomic.Int64
 	solveBatches       atomic.Int64
 	solvesCoalesced    atomic.Int64
 	batchSizes         [batchSizeCap + 1]atomic.Int64
@@ -174,6 +179,7 @@ func (c *counters) snapshot() Stats {
 		SchwarzPreconds:   c.schwarzPreconds.Load(),
 		IncrementalBuilds: c.incrementalBuilds.Load(),
 		ClustersReused:    c.clustersReused.Load(),
+		PrecondReorders:   c.precondReorders.Load(),
 		SolveBatches:      c.solveBatches.Load(),
 		SolvesCoalesced:   c.solvesCoalesced.Load(),
 		Jobs:              c.jobs.Load(),

@@ -85,17 +85,22 @@ type StreamUpdateInfo struct {
 	// Cached is true when the composite delta produced a graph whose
 	// artifact was already resident (e.g. a trip/reclose round-trip back
 	// to a previously-built topology): the rebuild cost nothing at all.
-	Cached          bool    `json:"cached"`
-	ClustersReused  int     `json:"clusters_reused"`
-	DirtyClusters   int     `json:"dirty_clusters"`
-	StitchLocalized bool    `json:"stitch_localized"`
-	LGPatched       bool    `json:"lg_patched"`
-	LPPatched       bool    `json:"lp_patched"`
-	PatchMS         float64 `json:"patch_ms"`
-	AssembleMS      float64 `json:"assemble_ms"`
-	TotalMS         float64 `json:"total_ms"`
-	Edits           int     `json:"edits"` // edge edits the rebuild absorbed
-	PushesMerged    int     `json:"pushes_merged"`
+	Cached          bool `json:"cached"`
+	ClustersReused  int  `json:"clusters_reused"`
+	DirtyClusters   int  `json:"dirty_clusters"`
+	StitchLocalized bool `json:"stitch_localized"`
+	LGPatched       bool `json:"lg_patched"`
+	LPPatched       bool `json:"lp_patched"`
+	// RefactorRows counts the rows of the monolithic factor the rebuild
+	// recomputed under the base ordering; Reordered reports that the
+	// factor's fill passed the reorder bound and L_P was ordered afresh.
+	RefactorRows int     `json:"refactor_rows"`
+	Reordered    bool    `json:"reordered"`
+	PatchMS      float64 `json:"patch_ms"`
+	AssembleMS   float64 `json:"assemble_ms"`
+	TotalMS      float64 `json:"total_ms"`
+	Edits        int     `json:"edits"` // edge edits the rebuild absorbed
+	PushesMerged int     `json:"pushes_merged"`
 }
 
 // StreamStats is a session snapshot for the stats endpoint.
@@ -428,6 +433,8 @@ func (s *Stream) drain() {
 		if up := art.Handle.UpdateStats(); up != nil && !cached {
 			info.LGPatched = up.LGPatched
 			info.LPPatched = up.LPPatched
+			info.RefactorRows = up.RefactorRows
+			info.Reordered = up.Reordered
 			info.PatchMS = float64(up.PatchTime) / float64(time.Millisecond)
 			info.AssembleMS = float64(up.AssembleTime) / float64(time.Millisecond)
 		}

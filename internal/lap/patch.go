@@ -19,6 +19,23 @@ type Script struct {
 // Size returns the number of edge edits the script carries.
 func (s Script) Size() int { return len(s.Reweighted) + len(s.Added) + len(s.Removed) }
 
+// Touched lists both endpoints of every edit, repeats included: the
+// columns of the Laplacian that Patch changes. g is the post-delta graph
+// the Reweighted and Added indices refer to. The result is never nil.
+func (s Script) Touched(g *graph.Graph) []int {
+	out := make([]int, 0, 2*s.Size())
+	for _, i := range s.Reweighted {
+		out = append(out, g.Edges[i].U, g.Edges[i].V)
+	}
+	for _, i := range s.Added {
+		out = append(out, g.Edges[i].U, g.Edges[i].V)
+	}
+	for _, e := range s.Removed {
+		out = append(out, e.U, e.V)
+	}
+	return out
+}
+
 // Patch derives the regularized Laplacian of g by editing base — the
 // Laplacian of the pre-delta graph under the same shift — instead of
 // reassembling from triplets. Cost is O(k log deg) for k edits plus one

@@ -4,17 +4,18 @@
 // assembled SPD matrix L_P into a solver.Preconditioner plus build
 // telemetry. Two strategies ship:
 //
-//   - Monolithic: one sparse Cholesky factorization of the whole matrix
-//     (the original behaviour, still the default);
+//   - Monolithic: one sparse Cholesky factorization of the whole matrix,
+//     the default for every build, sharded or not — the paper's
+//     preconditioner. An update refactors under the base factor's
+//     ordering and recomputes only the rows of L its edit reaches
+//     (NewRefactor).
 //   - Schwarz: a two-level additive-Schwarz preconditioner over the
 //     sharded pipeline's clusters — one Cholesky factor per cluster's
 //     principal submatrix, built concurrently, plus a coarse-grid
 //     correction assembled from the cluster quotient of L_P (one small
-//     dense Cholesky solve per application). Factorization cost stays
-//     linear in cluster size at a bounded PCG-iteration penalty, which is
-//     what makes sparsifying at scale pay off: the sharded build's
-//     dominant remaining superlinear cost was the monolithic factorization
-//     of the stitched sparsifier.
+//     dense Cholesky solve per application). It approximates the
+//     sparsifier a second time, so its solves take 3–4× longer than the
+//     monolithic factor's; it is opt-in (?precond=schwarz).
 package precond
 
 import (
@@ -32,9 +33,8 @@ import (
 type Kind int
 
 const (
-	// Auto (the zero value) picks Schwarz when the sparsifier was built
-	// through the sharded pipeline (the cluster structure is already paid
-	// for) and Monolithic otherwise.
+	// Auto (the zero value) picks Monolithic for every build, sharded or
+	// not.
 	Auto Kind = iota
 	// Monolithic factorizes the whole matrix with one sparse Cholesky.
 	Monolithic
@@ -101,6 +101,12 @@ type Stats struct {
 	// BuildTime is how long Build took (submatrix extraction +
 	// factorization, including the coarse assembly).
 	BuildTime time.Duration
+	// RefactorRows counts the rows of L a monolithic refactor computed
+	// (the rest were copied from the base factor); 0 for a build without
+	// a base factor. Reordered reports that the refactor's fill passed
+	// the reorder bound, so the matrix was ordered afresh.
+	RefactorRows int
+	Reordered    bool
 }
 
 // Builder turns an assembled SPD matrix into a ready preconditioner.
@@ -114,26 +120,49 @@ type Builder interface {
 }
 
 // monolithicBuilder is the default strategy: one sparse Cholesky of the
-// whole matrix, applied through solver.CholPrecond.
-type monolithicBuilder struct{}
+// whole matrix, applied through solver.CholPrecond. With a base factor it
+// refactors under the base's ordering instead (chol.Refactor).
+type monolithicBuilder struct {
+	base    *chol.Factor
+	changed []int
+}
 
 // NewMonolithic returns the default builder: a single sparse Cholesky
 // factorization of the whole matrix.
 func NewMonolithic() Builder { return monolithicBuilder{} }
 
+// NewRefactor returns the monolithic builder for a matrix that differs
+// from the one base factors only in the columns changed (original
+// indices; nil means every column). It keeps base's ordering and
+// recomputes only the rows of L the change reaches, unless the factor's
+// fill passes chol.Refactor's reorder bound, in which case it orders
+// afresh; Stats.RefactorRows and Stats.Reordered report which.
+func NewRefactor(base *chol.Factor, changed []int) Builder {
+	return monolithicBuilder{base: base, changed: changed}
+}
+
 func (monolithicBuilder) Kind() string { return Monolithic.String() }
 
-func (monolithicBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, error) {
+func (b monolithicBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, error) {
 	start := time.Now()
-	f, err := chol.New(a, chol.Options{})
+	var f *chol.Factor
+	var rs chol.RefactorStats
+	var err error
+	if b.base != nil {
+		f, rs, err = chol.Refactor(b.base, a, b.changed)
+	} else {
+		f, err = chol.New(a, chol.Options{})
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	return solver.NewCholPrecond(f), &Stats{
-		Kind:      Monolithic.String(),
-		FactorNNZ: int64(f.NNZ()),
-		MemBytes:  f.MemBytes(),
-		BuildTime: time.Since(start),
+		Kind:         Monolithic.String(),
+		FactorNNZ:    int64(f.NNZ()),
+		MemBytes:     f.MemBytes(),
+		BuildTime:    time.Since(start),
+		RefactorRows: rs.Rows,
+		Reordered:    rs.Reordered,
 	}, nil
 }
 

@@ -21,7 +21,7 @@ func TestSparsifierBeatsIC0(t *testing.T) {
 	shift := lap.Shift(g, 0)
 	a := lap.Laplacian(g, shift)
 
-	ic, err := chol.NewIncomplete(a)
+	ic, err := incompleteCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSparsifierBeatsIC0(t *testing.T) {
 func TestIC0BeatsJacobi(t *testing.T) {
 	g := gen.Grid2D(40, 40, 13)
 	a := lap.Laplacian(g, lap.Shift(g, 0))
-	ic, err := chol.NewIncomplete(a)
+	ic, err := incompleteCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}

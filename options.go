@@ -161,12 +161,13 @@ func WithShards(k int) Option {
 }
 
 // WithPrecond selects how the sparsifier-side preconditioner is built:
-// PrecondMonolithic (one Cholesky of the whole stitched sparsifier),
-// PrecondSchwarz (per-cluster factors plus a coarse cut-coupling
-// correction, factorized concurrently — the sharded pencil), or
-// PrecondAuto (the default: Schwarz when the graph was built through the
-// sharded pipeline, monolithic otherwise). Handles report the decision
-// and its cost via Sparsifier.PrecondStats.
+// PrecondMonolithic (one Cholesky of the whole stitched sparsifier, the
+// paper's preconditioner), PrecondSchwarz (per-cluster factors plus a
+// coarse cut-coupling correction, factorized concurrently — opt-in, with
+// solves 3–4× slower), or PrecondAuto (the default: monolithic for every
+// build, sharded or not; an Update refactors it under the base handle's
+// ordering). Handles report the decision and its cost via
+// Sparsifier.PrecondStats.
 func WithPrecond(p Precond) Option {
 	return func(c *Config) { c.Precond = p }
 }

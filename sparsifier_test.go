@@ -355,14 +355,15 @@ func TestPrecondStrategies(t *testing.T) {
 		t.Fatalf("schwarz PrecondStats = %+v", ps)
 	}
 
-	// A sharded build picks Schwarz automatically; forcing monolithic
-	// overrides it.
+	// A sharded build gets the monolithic factor by default, the same
+	// factor a forced-monolithic build gets; Schwarz over the plan's
+	// clusters is opt-in.
 	shardedAuto, err := New(ctx, g, WithSeed(1), WithShardThreshold(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := shardedAuto.PrecondStats().Kind; k != "schwarz" {
-		t.Fatalf("sharded auto precond = %q, want schwarz", k)
+	if k := shardedAuto.PrecondStats().Kind; k != "monolithic" {
+		t.Fatalf("sharded auto precond = %q, want monolithic", k)
 	}
 	shardedMono, err := New(ctx, g, WithSeed(1), WithShardThreshold(300), WithPrecond(PrecondMonolithic))
 	if err != nil {
@@ -371,9 +372,19 @@ func TestPrecondStrategies(t *testing.T) {
 	if k := shardedMono.PrecondStats().Kind; k != "monolithic" {
 		t.Fatalf("sharded forced-monolithic precond = %q", k)
 	}
+	if shardedAuto.FactorNNZ() != shardedMono.FactorNNZ() {
+		t.Fatalf("sharded auto factor nnz %d, forced monolithic %d", shardedAuto.FactorNNZ(), shardedMono.FactorNNZ())
+	}
+	shardedSch, err := New(ctx, g, WithSeed(1), WithShardThreshold(300), WithPrecond(PrecondSchwarz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := shardedSch.PrecondStats(); ps.Kind != "schwarz" || ps.Clusters != shardedSch.ShardStats().Shards {
+		t.Fatalf("sharded schwarz PrecondStats = %+v, want one block per plan cluster", ps)
+	}
 
 	var ref []float64
-	for _, s := range []*Sparsifier{mono, sch, shardedAuto, shardedMono} {
+	for _, s := range []*Sparsifier{mono, sch, shardedAuto, shardedMono, shardedSch} {
 		sol, err := s.Solve(ctx, b)
 		if err != nil || !sol.Converged {
 			t.Fatalf("%s solve: converged=%v err=%v", s.PrecondStats().Kind, sol != nil && sol.Converged, err)

@@ -45,9 +45,9 @@
 //
 // When the graph drifts a few edges at a time, Sparsifier.Update applies
 // a Delta incrementally instead of rebuilding: the retained plan maps the
-// delta onto dirty clusters, untouched clusters' sparsifiers and Schwarz
-// factors are reused verbatim, and only the dirty clusters and the stitch
-// are redone.
+// delta onto dirty clusters, untouched clusters' sparsifiers are reused
+// verbatim, only the dirty clusters and the stitch are redone, and the
+// factor is recomputed only in the rows the edit reaches.
 //
 // See TUNING.md for how every knob trades build time against solve
 // quality, with measured numbers, and a which-config-for-which-graph
@@ -139,8 +139,8 @@ type Precond = precond.Kind
 
 // Preconditioner construction strategies.
 const (
-	// PrecondAuto (default) picks Schwarz for sharded builds and the
-	// monolithic Cholesky otherwise.
+	// PrecondAuto (default) picks the monolithic Cholesky for every
+	// build, sharded or not.
 	PrecondAuto = precond.Auto
 	// PrecondMonolithic factorizes the whole sparsifier in one sparse
 	// Cholesky.
