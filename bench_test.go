@@ -363,8 +363,8 @@ func BenchmarkShardedSparsify(b *testing.B) {
 // ER path runs exactly what a default New(g, WithMethod(MethodER)) runs:
 // per-cluster sketch estimation and sampling through the shard pipeline
 // at the erPlanVertices threshold, so each cluster's sketch solves go
-// through a small local factorization instead of global PCG. Timed
-// region: construction only (see BenchmarkShardedSparsify); the PCG
+// through a small local factorization instead of one of the whole L_G.
+// Timed region: construction only (see BenchmarkShardedSparsify); the PCG
 // iteration count of each sparsifier on a shared right-hand side is
 // reported untimed so the quality cost of sampling is visible next to
 // the build-time win.

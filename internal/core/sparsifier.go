@@ -102,17 +102,15 @@ type Config struct {
 
 // erPlanVertices is the graph size above which the ER method routes
 // through the sharded pipeline even without a configured
-// ShardThreshold (and above which ERRanking solves its sketch systems
-// under a planned Schwarz preconditioner): effective-resistance
-// estimation is the one construction path that solves systems in L_G
-// itself, and a monolithic factorization of L_G stops being cheap well
-// before the rest of the stack notices graph size. The value doubles
-// as the cluster-size target for those ER builds; 4096 is measured,
-// not asymptotic — on the 600×600 grid it builds ~4.7× faster than
-// 16384-vertex clusters (3.2s vs 15.5s: Cholesky fill on a cluster's
-// full local Laplacian grows superlinearly) while halving it again
-// buys nothing (per-cluster orchestration overhead dominates below
-// this size).
+// ShardThreshold: effective-resistance estimation is the one
+// construction path that solves systems in L_G itself, and a monolithic
+// factorization of L_G stops being cheap well before the rest of the
+// stack notices graph size. The value doubles as the cluster-size
+// target for those ER builds; 4096 is measured, not asymptotic — on
+// the 600×600 grid it builds ~4.7× faster than 16384-vertex clusters
+// (3.2s vs 15.5s: Cholesky fill on a cluster's full local Laplacian
+// grows superlinearly) while halving it again buys nothing
+// (per-cluster orchestration overhead dominates below this size).
 const erPlanVertices = 4096
 
 // withDefaults fills measurement defaults (construction defaults are
@@ -231,22 +229,7 @@ func NewSparsifier(ctx context.Context, g *graph.Graph, cfg Config) (*Sparsifier
 				Sparsify:  cfg.Sparsify,
 			})
 		default:
-			so := cfg.Sparsify
-			if so.ERRanking && so.Method == sparsify.TraceReduction && g.N > erPlanVertices {
-				// Ranking only needs the sketch estimates, not a
-				// sharded build; plan clusters so the sketch systems
-				// solve under Schwarz instead of factorizing L_G.
-				plan, perr := shard.NewPlan(ctx, g, shard.Options{
-					Shards:    cfg.Shards,
-					Threshold: erPlanVertices,
-					Sparsify:  so,
-				})
-				if perr != nil {
-					return nil, wrapCanceled(perr)
-				}
-				so = so.WithERAssign(plan.Assign)
-			}
-			res, err = sparsify.SparsifyContext(ctx, g, so)
+			res, err = sparsify.SparsifyContext(ctx, g, cfg.Sparsify)
 		}
 		if err != nil {
 			return nil, wrapCanceled(err)

@@ -107,15 +107,10 @@ func CondNumberCtx(ctx context.Context, lg *sparse.CSC, fs *chol.Factor, opts Ge
 	return TridiagMax(alpha, beta), nil
 }
 
-// CondNumberApply estimates λmax(M⁻¹ L_G) for an SPD preconditioner M
-// given only its application z = M⁻¹ r (no factorization access).
-func CondNumberApply(lg *sparse.CSC, apply func(z, r []float64), opts GenMaxOptions) float64 {
-	k, _ := CondNumberApplyCtx(context.Background(), lg, apply, opts)
-	return k
-}
-
-// CondNumberApplyCtx is the Apply-only counterpart of CondNumberCtx: it
-// runs the preconditioned Lanczos recurrence on the pencil (L_G, M) in the
+// CondNumberApplyCtx estimates λmax(M⁻¹ L_G) for an SPD preconditioner
+// M given only its application z = M⁻¹ r (no factorization access). It
+// is the Apply-only counterpart of CondNumberCtx: it runs the
+// preconditioned Lanczos recurrence on the pencil (L_G, M) in the
 // M-inner product, tracking each Lanczos vector zⱼ together with its dual
 // rⱼ = M zⱼ, so only products with L_G and applications of M⁻¹ are needed
 // (M itself is never multiplied). The tridiagonal matrix it builds has the

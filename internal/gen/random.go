@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -27,15 +28,18 @@ func BarabasiAlbert(n, m int, seed int64) *graph.Graph {
 			targets = append(targets, i, j)
 		}
 	}
+	// Distinct targets in draw order, so the weights drawn next (and the
+	// graph) are a pure function of the seed.
+	chosen := make([]int, 0, m)
 	for v := m + 1; v < n; v++ {
-		chosen := map[int]bool{}
+		chosen = chosen[:0]
 		for len(chosen) < m {
 			u := targets[rng.Intn(len(targets))]
-			if u != v {
-				chosen[u] = true
+			if u != v && !slices.Contains(chosen, u) {
+				chosen = append(chosen, u)
 			}
 		}
-		for u := range chosen {
+		for _, u := range chosen {
 			edges = append(edges, graph.Edge{U: u, V: v, W: 0.5 + rng.Float64()})
 			targets = append(targets, u, v)
 		}

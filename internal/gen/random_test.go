@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -24,6 +25,15 @@ func TestBarabasiAlbertStructure(t *testing.T) {
 	max := degs[g.N-1]
 	if max < 4*median {
 		t.Errorf("degree tail too light: max %d, median %d", max, median)
+	}
+}
+
+// TestBarabasiAlbertReproducible: the same seed gives the same edge list,
+// weights included.
+func TestBarabasiAlbertReproducible(t *testing.T) {
+	a, b := BarabasiAlbert(500, 3, 1), BarabasiAlbert(500, 3, 1)
+	if !slices.Equal(a.Edges, b.Edges) {
+		t.Fatal("BarabasiAlbert(500, 3, 1) gave different edge lists on two calls")
 	}
 }
 

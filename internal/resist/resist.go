@@ -12,13 +12,11 @@
 //	R_eff(e) ≈ ‖Z(χ_u − χ_v)‖²   for k = O(log n / ε²),
 //
 // so k linear solves L zᵢ = (W^{1/2} B)ᵀ qᵢ against random sign vectors
-// qᵢ replace n solves against every basis vector. Each sketch column is
-// solved with the repository's own stack: PCG (internal/solver) under
-// either a monolithic Cholesky of the regularized Laplacian or — when
-// the caller supplies a cluster assignment, typically a shard plan —
-// the two-level additive Schwarz preconditioner (internal/precond)
-// built over those clusters. Sketch solves run concurrently on a
-// bounded worker pool and are cancellable mid-sketch.
+// qᵢ replace n solves against every basis vector. The regularized
+// Laplacian is factorized once (internal/chol), and each sketch column
+// is then two triangular solves against that factor. Sketch solves run
+// concurrently on a bounded worker pool and are cancellable between
+// sketches.
 //
 // Exact provides the dense-pseudoinverse reference for small graphs;
 // the tests hold the sketch estimator to (1±ε) of it.
@@ -32,17 +30,16 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chol"
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/lap"
-	"repro/internal/precond"
-	"repro/internal/solver"
 )
 
 // DefaultEpsilon is the target relative accuracy of the sketch estimate
 // when Options.Epsilon is unset. The sketch count scales as 1/ε², so
 // the default is deliberately coarse: resistances feed importance
-// sampling and candidate ranking, which tolerate constant-factor noise.
+// sampling, which tolerates constant-factor noise.
 const DefaultEpsilon = 0.5
 
 // Sketch-count clamps for the auto formula k = ceil(log₂(n+1)/ε²).
@@ -52,8 +49,7 @@ const (
 )
 
 // Options configures Estimate. The zero value estimates with the
-// default accuracy target on all cores, factorizing the regularized
-// Laplacian monolithically.
+// default accuracy target on all cores.
 type Options struct {
 	// Sketches is the number k of random-projection columns. 0 derives
 	// k from Epsilon: ceil(log₂(n+1)/ε²), clamped to [8, 512].
@@ -61,12 +57,6 @@ type Options struct {
 	// Epsilon is the target relative accuracy when Sketches is unset
 	// (default DefaultEpsilon). Smaller ε means more sketch solves.
 	Epsilon float64
-	// Tol is the PCG relative-residual tolerance per sketch solve
-	// (default 1e-5). Sketching error dominates well before solver
-	// error, so this can be much looser than a serving solve.
-	Tol float64
-	// MaxIter caps PCG iterations per sketch solve (default 10·n).
-	MaxIter int
 	// Workers bounds concurrent sketch solves (default GOMAXPROCS).
 	// The result is bit-reproducible for a fixed (Seed, Sketches,
 	// Workers) triple; changing Workers only reorders floating-point
@@ -78,26 +68,6 @@ type Options struct {
 	// Laplacian before solving (default lap.DefaultShiftRel), the same
 	// shift the sparsifier stack uses.
 	ShiftRel float64
-	// Assign, when non-nil, is a per-vertex cluster assignment — in
-	// practice a shard plan — and selects the two-level Schwarz
-	// preconditioner over those clusters for the sketch solves. Nil
-	// factorizes the regularized Laplacian monolithically, which makes
-	// every solve effectively direct; that is the right choice for
-	// small graphs and per-cluster estimation, while large monolithic
-	// graphs want a plan.
-	Assign []int
-	// Overlap overrides the Schwarz overlap layers (0 adaptive,
-	// negative disables); ignored without Assign.
-	Overlap int
-	// ApplyWorkers bounds the Schwarz per-apply fan-out across same-color
-	// blocks (0 auto-sizes, negative forces sequential); ignored without
-	// Assign. The fan-out is bit-identical to the sequential sweep, so
-	// this does not perturb the (Seed, Sketches, Workers) reproducibility
-	// contract.
-	ApplyWorkers int
-	// CheckEvery is the PCG cancellation poll cadence
-	// (default solver.DefaultCheckEvery).
-	CheckEvery int
 }
 
 func (o Options) withDefaults(n int) Options {
@@ -113,9 +83,6 @@ func (o Options) withDefaults(n int) Options {
 			k = maxSketches
 		}
 		o.Sketches = k
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-5
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -133,58 +100,32 @@ type Result struct {
 	R []float64
 	// Sketches is the number of sketch columns actually solved.
 	Sketches int
-	// Iterations is the total PCG iteration count across all sketch
-	// solves (0 when the monolithic factorization answers directly).
-	Iterations int
-	// Unconverged counts sketch solves that hit MaxIter before reaching
-	// Tol; their best iterates still contribute to the estimate.
-	Unconverged int
-	// PrecondKind reports which preconditioner backed the solves
-	// ("monolithic" or "schwarz").
-	PrecondKind string
 
-	FactorTime time.Duration // preconditioner construction
-	SolveTime  time.Duration // sketch RHS assembly + PCG solves
+	FactorTime time.Duration // Cholesky factorization
+	SolveTime  time.Duration // sketch RHS assembly + triangular solves
 	Total      time.Duration
 }
 
 // Estimate computes sketch-based effective resistances for every edge
-// of g. It honors ctx between and inside sketch solves; cancellation
-// returns the context error (wrapped) and a nil result.
+// of g. It honors ctx between sketch solves; cancellation returns the
+// context error (wrapped) and a nil result.
 func Estimate(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	if g == nil || g.N < 1 {
 		return nil, fmt.Errorf("resist: empty graph")
 	}
 	o := opts.withDefaults(g.N)
-	if o.Assign != nil && len(o.Assign) != g.N {
-		return nil, fmt.Errorf("resist: assignment covers %d vertices, graph has %d", len(o.Assign), g.N)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("resist: %w", err)
 	}
 	start := time.Now()
 
 	lg := lap.Laplacian(g, lap.Shift(g, o.ShiftRel))
-	var builder precond.Builder
-	if o.Assign != nil {
-		builder = precond.NewSchwarz(o.Assign, precond.SchwarzOptions{
-			Workers:      o.Workers,
-			Overlap:      o.Overlap,
-			ApplyWorkers: o.ApplyWorkers,
-		})
-	} else {
-		builder = precond.NewMonolithic()
-	}
 	t0 := time.Now()
-	pre, _, err := builder.Build(lg)
+	f, err := chol.New(lg, chol.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("resist: building preconditioner: %w", err)
+		return nil, fmt.Errorf("resist: factorizing regularized Laplacian: %w", err)
 	}
-	res := &Result{
-		Sketches:    o.Sketches,
-		PrecondKind: builder.Kind(),
-		FactorTime:  time.Since(t0),
-	}
+	res := &Result{Sketches: o.Sketches, FactorTime: time.Since(t0)}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("resist: %w", err)
 	}
@@ -206,8 +147,6 @@ func Estimate(ctx context.Context, g *graph.Graph, opts Options) (*Result, error
 		workers = o.Sketches
 	}
 	partials := make([][]float64, workers)
-	iters := make([]int, workers)
-	unconv := make([]int, workers)
 	errs := make([]error, workers)
 	chunk := (o.Sketches + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -223,43 +162,31 @@ func Estimate(ctx context.Context, g *graph.Graph, opts Options) (*Result, error
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			acc := make([]float64, m)
-			y := make([]float64, g.N)
 			z := make([]float64, g.N)
+			scratch := make([]float64, g.N)
 			partials[w] = acc
 			for s := lo; s < hi; s++ {
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
 					return
 				}
-				// yᵢ = (W^{1/2} B)ᵀ qᵢ for a fresh sign vector qᵢ.
+				// zᵢ = L⁻¹ (W^{1/2} B)ᵀ qᵢ for a fresh sign vector qᵢ,
+				// solved in place.
 				rng := newSignSource(o.Seed, s)
-				for i := range y {
-					y[i] = 0
+				for i := range z {
+					z[i] = 0
 				}
 				for e, ed := range g.Edges {
 					v := sqrtW[e]
 					if rng.next() {
-						y[ed.U] += v
-						y[ed.V] -= v
+						z[ed.U] += v
+						z[ed.V] -= v
 					} else {
-						y[ed.U] -= v
-						y[ed.V] += v
+						z[ed.U] -= v
+						z[ed.V] += v
 					}
 				}
-				for i := range z {
-					z[i] = 0
-				}
-				r := solver.PCG(lg, y, z, pre, solver.Options{
-					Tol: o.Tol, MaxIter: o.MaxIter, Ctx: ctx, CheckEvery: o.CheckEvery,
-				})
-				if r.Err != nil {
-					errs[w] = r.Err
-					return
-				}
-				iters[w] += r.Iterations
-				if !r.Converged {
-					unconv[w]++
-				}
+				f.SolveToNoAlloc(z, z, scratch)
 				for e, ed := range g.Edges {
 					d := z[ed.U] - z[ed.V]
 					acc[e] += d * d
@@ -288,10 +215,6 @@ func Estimate(ctx context.Context, g *graph.Graph, opts Options) (*Result, error
 		r[e] *= inv
 	}
 	res.R = r
-	for w := range iters {
-		res.Iterations += iters[w]
-		res.Unconverged += unconv[w]
-	}
 	res.SolveTime = time.Since(t0)
 	res.Total = time.Since(start)
 	return res, nil
@@ -305,8 +228,7 @@ const exactMaxVertices = 4096
 // Exact computes effective resistances by dense inversion of the
 // regularized Laplacian: R(u,v) = L⁻¹[u,u] − 2·L⁻¹[u,v] + L⁻¹[v,v]
 // under the same diagonal shift the sketch estimator uses (shiftRel ≤ 0
-// selects the default), so the two agree up to sketching and solver
-// error. It refuses graphs above 4096 vertices.
+// selects the default), so the two agree up to sketching error. It refuses graphs above 4096 vertices.
 func Exact(g *graph.Graph, shiftRel float64) ([]float64, error) {
 	if g == nil || g.N < 1 {
 		return nil, fmt.Errorf("resist: empty graph")

@@ -66,17 +66,6 @@ func threeCommunities(side int, seed int64) *graph.Graph {
 	return graph.MustNew(n, edges)
 }
 
-// communityAssign labels each vertex of threeCommunities(side) with its
-// community index.
-func communityAssign(side int) []int {
-	sz := side * side
-	assign := make([]int, 3*sz)
-	for v := range assign {
-		assign[v] = v / sz
-	}
-	return assign
-}
-
 // TestSketchWithinEpsilonOfExact is the estimator's core contract: on
 // graphs small enough for the dense reference, every edge's sketched
 // resistance lands within (1±0.5) of exact at a generous sketch count.
@@ -121,41 +110,6 @@ func TestSketchWithinEpsilonOfExact(t *testing.T) {
 			}
 			t.Logf("%s: %d edges, worst relative deviation %.3f", tc.name, len(exact), worst)
 		})
-	}
-}
-
-// TestSchwarzAssignAgreesWithMonolithic: the preconditioner choice only
-// changes how the sketch systems are solved, not what they estimate — at
-// a tight solver tolerance the two backends must agree far inside the
-// sketching error.
-func TestSchwarzAssignAgreesWithMonolithic(t *testing.T) {
-	g := threeCommunities(6, 5)
-	base := resist.Options{Sketches: 32, Seed: 11, Tol: 1e-10}
-
-	mono, err := resist.Estimate(context.Background(), g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mono.PrecondKind != "monolithic" {
-		t.Fatalf("PrecondKind = %q, want monolithic", mono.PrecondKind)
-	}
-
-	sw := base
-	sw.Assign = communityAssign(6)
-	schwarz, err := resist.Estimate(context.Background(), g, sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schwarz.PrecondKind != "schwarz" {
-		t.Fatalf("PrecondKind = %q, want schwarz", schwarz.PrecondKind)
-	}
-	if schwarz.Iterations == 0 {
-		t.Error("Schwarz-backed solves reported zero PCG iterations")
-	}
-	for e := range mono.R {
-		if d := math.Abs(mono.R[e] - schwarz.R[e]); d > 1e-6*(1+mono.R[e]) {
-			t.Fatalf("edge %d: monolithic %g vs schwarz %g differ beyond solver tolerance", e, mono.R[e], schwarz.R[e])
-		}
 	}
 }
 
@@ -217,7 +171,7 @@ func TestAutoSketchCount(t *testing.T) {
 // deadline expiring mid-estimation surfaces as a wrapped context error
 // instead of running every remaining sketch for nobody.
 func TestCancellation(t *testing.T) {
-	g := gen.Grid2D(40, 40, 2)
+	g := gen.Grid2D(80, 80, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -227,7 +181,7 @@ func TestCancellation(t *testing.T) {
 
 	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	_, err := resist.Estimate(ctx, g, resist.Options{Sketches: 256, Tol: 1e-12, CheckEvery: 1})
+	_, err := resist.Estimate(ctx, g, resist.Options{Sketches: 512})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("mid-sketch deadline: err = %v, want context.DeadlineExceeded", err)
 	}
@@ -240,14 +194,5 @@ func TestExactGuards(t *testing.T) {
 	}
 	if _, err := resist.Exact(nil, 0); err == nil {
 		t.Error("Exact accepted a nil graph")
-	}
-}
-
-// TestAssignLengthValidated: a mis-sized assignment is rejected up front.
-func TestAssignLengthValidated(t *testing.T) {
-	g := cycle(10)
-	_, err := resist.Estimate(context.Background(), g, resist.Options{Assign: []int{0, 1}})
-	if err == nil {
-		t.Error("Estimate accepted an assignment shorter than the vertex set")
 	}
 }

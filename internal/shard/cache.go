@@ -69,9 +69,6 @@ func ClusterKey(cl *Cluster, seed int64, o sparsify.Options) string {
 	h = (h ^ math.Float64bits(o.ShiftRel)) * fnvPrime
 	h = (h ^ uint64(o.ERSketches)) * fnvPrime
 	h = (h ^ math.Float64bits(o.EREpsilon)) * fnvPrime
-	if o.ERRanking {
-		h = (h ^ 1) * fnvPrime
-	}
 	return fmt.Sprintf("c%d-%d-%016x", cl.Local.N, cl.Local.M(), h)
 }
 

@@ -88,6 +88,41 @@ func TestShardedERConnectedAndDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardedERReportsSketchTelemetry: a sharded ER build sums every
+// cluster's sketch count and estimation time into the result's Stats,
+// as it does the tree, score and factor phases.
+func TestShardedERReportsSketchTelemetry(t *testing.T) {
+	g := threeCommunities(10, 3)
+	res, err := shard.Sparsify(context.Background(), g, shard.Options{
+		Shards:   3,
+		Sparsify: sparsify.Options{Method: sparsify.ER, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Shards == nil || res.Shards.Abandoned {
+		t.Fatal("ER build did not run the sharded pipeline")
+	}
+	built := 0
+	for _, sb := range res.Shards.PerShard {
+		if sb.SparsifierEdges < sb.Edges {
+			built++
+		}
+	}
+	if built == 0 {
+		t.Fatal("no cluster was sparsified")
+	}
+	// Every sparsified cluster solves at least the estimator's minimum
+	// of 8 sketch columns.
+	if res.Stats.ERSketches < 8*built {
+		t.Errorf("Stats.ERSketches = %d over %d sparsified clusters, want at least %d",
+			res.Stats.ERSketches, built, 8*built)
+	}
+	if res.Stats.ERTime <= 0 {
+		t.Errorf("Stats.ERTime = %v, want the clusters' estimation time", res.Stats.ERTime)
+	}
+}
+
 // TestShardedERSkipsClusterCache: the cluster cache's index-free edge
 // representation cannot carry ER's per-edge weights, so ER builds must
 // neither populate nor consult it — while the default method on the same

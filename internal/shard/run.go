@@ -72,14 +72,7 @@ func Sparsify(ctx context.Context, g *graph.Graph, opts Options) (*sparsify.Resu
 	}
 	cutFrac := cutFractionOf(g, plan)
 	if maxCut > 0 && cutFrac > maxCut {
-		so := opts.Sparsify
-		if so.Method == sparsify.ER || so.ERRanking {
-			// The plan is already paid for; even an abandoned
-			// (high-cut) partition makes a better sketch-solve
-			// preconditioner than factorizing L_G whole.
-			so = so.WithERAssign(plan.Assign)
-		}
-		res, err := sparsify.SparsifyContext(ctx, g, so)
+		res, err := sparsify.SparsifyContext(ctx, g, opts.Sparsify)
 		if err != nil {
 			return nil, err
 		}
@@ -317,6 +310,8 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 		res.Stats.TreeTime += ph.TreeTime
 		res.Stats.ScoreTime += ph.ScoreTime
 		res.Stats.FactorTime += ph.FactorTime
+		res.Stats.ERTime += ph.ERTime
+		res.Stats.ERSketches += ph.ERSketches
 		if ph.Rounds > res.Stats.Rounds {
 			res.Stats.Rounds = ph.Rounds
 		}

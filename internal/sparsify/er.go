@@ -26,10 +26,6 @@ const (
 	erMaxSketches        = 64
 )
 
-// erSolveTol is the PCG tolerance for sampling-grade sketch solves;
-// sketching error dominates far above it.
-const erSolveTol = 1e-4
-
 // erMaxMultiplier caps the importance-sampling weight multiplier
 // c/(q·p): sampled edges are never admitted above their original
 // weight. The unbiased multiplier (≈ #cand/q for typical leverage) is
@@ -66,28 +62,6 @@ func erSketchCount(n int, o Options) int {
 	return k
 }
 
-// erEstimate runs the sketch estimator with the options' ER settings,
-// recording time and solve telemetry into st.
-func erEstimate(ctx context.Context, g *graph.Graph, o Options, st *Stats) (*resist.Result, error) {
-	t0 := time.Now()
-	est, err := resist.Estimate(ctx, g, resist.Options{
-		Sketches: erSketchCount(g.N, o),
-		Epsilon:  o.EREpsilon,
-		Tol:      erSolveTol,
-		Workers:  o.Workers,
-		Seed:     o.Seed,
-		ShiftRel: o.ShiftRel,
-		Assign:   o.erAssign,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st.ERTime += time.Since(t0)
-	st.ERSketches += est.Sketches
-	st.ERIterations += est.Iterations
-	return est, nil
-}
-
 // runER is Spielman–Srivastava effective-resistance sampling: estimate
 // R_eff per edge with JL sketches, then draw q = budget systematic
 // samples from the off-tree edges with probability proportional to the
@@ -98,10 +72,19 @@ func erEstimate(ctx context.Context, g *graph.Graph, o Options, st *Stats) (*res
 // concentrates on the highest-leverage off-tree edges, which is what
 // makes the sparsifier a preconditioner.
 func runER(ctx context.Context, g *graph.Graph, res *Result, budget int, o Options) error {
-	est, err := erEstimate(ctx, g, o, &res.Stats)
+	t0 := time.Now()
+	est, err := resist.Estimate(ctx, g, resist.Options{
+		Sketches: erSketchCount(g.N, o),
+		Epsilon:  o.EREpsilon,
+		Workers:  o.Workers,
+		Seed:     o.Seed,
+		ShiftRel: o.ShiftRel,
+	})
 	if err != nil {
 		return fmt.Errorf("sparsify: er: %w", err)
 	}
+	res.Stats.ERTime = time.Since(t0)
+	res.Stats.ERSketches = est.Sketches
 	res.Stats.Rounds = 1
 
 	cand := offSubgraphEdges(g, res.InSub)
@@ -174,35 +157,4 @@ func runER(ctx context.Context, g *graph.Graph, res *Result, budget int, o Optio
 	}
 	res.Stats.EdgesAdded = added
 	return nil
-}
-
-// erPrefilter keeps the `keep` candidates with the highest sketched
-// leverage scores w·R_eff (ties broken by edge index for determinism),
-// in candidate order. It is the ERRanking hook inside the
-// trace-reduction densification rounds: eq. (20) scoring is the
-// dominant cost of a round, and leverage scores are a cheap, spectrally
-// meaningful predictor of which candidates can matter.
-func erPrefilter(g *graph.Graph, cand []int, r []float64, keep int) []int {
-	if keep >= len(cand) {
-		return cand
-	}
-	order := make([]int, len(cand))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		sa := g.Edges[cand[order[a]]].W * r[cand[order[a]]]
-		sb := g.Edges[cand[order[b]]].W * r[cand[order[b]]]
-		if sa != sb {
-			return sa > sb
-		}
-		return cand[order[a]] < cand[order[b]]
-	})
-	sel := order[:keep]
-	sort.Ints(sel)
-	out := make([]int, keep)
-	for i, oi := range sel {
-		out[i] = cand[oi]
-	}
-	return out
 }

@@ -1,21 +1,11 @@
 package sparsify
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 )
-
-func unitPath(n int) *graph.Graph {
-	edges := make([]graph.Edge, n-1)
-	for i := range edges {
-		edges[i] = graph.Edge{U: i, V: i + 1, W: 1}
-	}
-	return graph.MustNew(n, edges)
-}
 
 func TestERSparsifyInvariants(t *testing.T) {
 	g := gen.Grid2D(20, 20, 9)
@@ -116,53 +106,6 @@ func TestERDeterministicForFixedSeed(t *testing.T) {
 	}
 }
 
-// TestERWithAssign: a caller-supplied cluster assignment routes the
-// sketch solves through the Schwarz preconditioner without changing the
-// contract.
-func TestERWithAssign(t *testing.T) {
-	g := gen.Grid2D(16, 16, 7)
-	assign := make([]int, g.N)
-	for v := range assign {
-		if v >= g.N/2 {
-			assign[v] = 1
-		}
-	}
-	res, err := SparsifyContext(context.Background(), g,
-		Options{Method: ER, Seed: 3}.WithERAssign(assign))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Sparsifier.Connected() {
-		t.Error("ER sparsifier with Schwarz assignment disconnected")
-	}
-	if res.Stats.ERIterations == 0 {
-		t.Error("Schwarz-backed sketch solves reported zero PCG iterations")
-	}
-}
-
-// TestERRankingPrefiltersTraceReduction: WithERRanking pays one sketch
-// estimation and still produces a full-quality trace-reduction result.
-func TestERRankingPrefiltersTraceReduction(t *testing.T) {
-	g := gen.Grid2D(20, 20, 5)
-	res, err := Sparsify(g, Options{Method: TraceReduction, ERRanking: true, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Sparsifier.Connected() {
-		t.Error("ERRanking sparsifier disconnected")
-	}
-	if res.Stats.ERSketches == 0 {
-		t.Error("ERRanking did not run the sketch estimator")
-	}
-	wantEdges := g.N - 1 + int(0.10*float64(g.N))
-	if got := len(res.EdgeIdx); got != wantEdges {
-		t.Errorf("sparsifier has %d edges, want %d", got, wantEdges)
-	}
-	if res.Reweight != nil {
-		t.Error("trace reduction must not reweight edges")
-	}
-}
-
 func TestParseMethod(t *testing.T) {
 	cases := map[string]Method{
 		"trace":                TraceReduction,
@@ -180,27 +123,5 @@ func TestParseMethod(t *testing.T) {
 	}
 	if _, err := ParseMethod("banana"); err == nil {
 		t.Error("ParseMethod accepted an unknown method")
-	}
-}
-
-func TestERPrefilterKeepsTopLeverage(t *testing.T) {
-	g := unitPath(40)
-	r := make([]float64, g.M())
-	for e := range r {
-		r[e] = float64(e) // leverage strictly increasing in index
-	}
-	cand := []int{3, 10, 4, 25, 7}
-	got := erPrefilter(g, cand, r, 2)
-	// Unit weights, so the two highest-leverage candidates are edges 25
-	// and 10; output preserves candidate (slice) order.
-	if len(got) != 2 {
-		t.Fatalf("kept %d candidates, want 2", len(got))
-	}
-	if got[0] != 10 || got[1] != 25 {
-		t.Errorf("kept %v, want [10 25]", got)
-	}
-	// keep >= len(cand) is the identity.
-	if out := erPrefilter(g, cand, r, 10); len(out) != len(cand) {
-		t.Errorf("oversized keep truncated the pool to %d", len(out))
 	}
 }

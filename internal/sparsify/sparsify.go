@@ -110,46 +110,20 @@ type Options struct {
 	// Seed drives every random choice, making runs reproducible.
 	Seed int64
 
-	// ERSketches is the JL sketch count for the ER method and for
-	// ERRanking (0 derives it from EREpsilon and the graph size; see
-	// internal/resist). More sketches sharpen the resistance estimates
-	// at one extra linear solve each.
+	// ERSketches is the JL sketch count for the ER method (0 derives
+	// it from EREpsilon and the graph size; see internal/resist). More
+	// sketches sharpen the resistance estimates at one extra linear
+	// solve each.
 	ERSketches int
 	// EREpsilon is the target relative accuracy of the sketched
 	// resistances (default resist.DefaultEpsilon = 0.5). Only
 	// consulted when ERSketches is unset.
 	EREpsilon float64
-	// ERRanking, with the TraceReduction method, prefilters each
-	// densification round's candidate pool to the edges with the
-	// highest sketched leverage scores w·R_eff before the expensive
-	// eq. (20) scoring — the ER subsystem reused as a ranking stage, a
-	// speed dial that trades a few sketch solves for a much smaller
-	// scoring pool.
-	ERRanking bool
 
 	// grassExclusion lets ablation studies hand the GRASS baseline the
 	// feGRASS similarity exclusion the published algorithm lacks
 	// (see WithGRASSExclusion).
 	grassExclusion bool
-
-	// erAssign is a per-vertex cluster assignment handed down by the
-	// handle layer so the ER sketch solves run under the two-level
-	// Schwarz preconditioner instead of a monolithic factorization of
-	// L_G (see WithERAssign). It never enters cluster fingerprints:
-	// the assignment changes how the sketch systems are solved, not
-	// what they estimate.
-	erAssign []int
-}
-
-// WithERAssign returns a copy of o whose ER sketch solves use the
-// two-level Schwarz preconditioner over the given per-vertex cluster
-// assignment — in practice a shard plan computed by the caller. The
-// core layer sets it for large monolithic ER (and ERRanking) builds;
-// per-cluster builds leave it nil and factorize the small local
-// Laplacian directly.
-func (o Options) WithERAssign(assign []int) Options {
-	o.erAssign = assign
-	return o
 }
 
 // WithGRASSExclusion returns a copy of o in which the GRASS baseline also
@@ -213,13 +187,11 @@ type Stats struct {
 	EdgesAdded int
 	SPAINnz    []int // Z̃ nonzeros per general round (diagnostic)
 
-	// ERTime is the time spent in sketch-based effective-resistance
-	// estimation (the ER method, or ERRanking under trace reduction);
-	// ERSketches and ERIterations record how many sketch columns were
-	// solved and the PCG iterations they cost.
-	ERTime       time.Duration
-	ERSketches   int
-	ERIterations int
+	// ERTime is the time the ER method spent in sketch-based
+	// effective-resistance estimation; ERSketches records how many
+	// sketch columns were solved.
+	ERTime     time.Duration
+	ERSketches int
 }
 
 // Result is a computed sparsifier.
@@ -338,15 +310,6 @@ func WeightedSubgraph(g *graph.Graph, edgeIdx []int, reweight []float64) *graph.
 	return graph.FromNormalized(g.N, edges)
 }
 
-// erRankKeepFactor and erRankKeepMin bound the ERRanking prefilter:
-// each densification round scores only the top keep = max(8·quota,
-// 1024) candidates by sketched leverage score instead of the whole
-// off-subgraph pool.
-const (
-	erRankKeepFactor = 8
-	erRankKeepMin    = 1024
-)
-
 // runTraceReduction is Algorithm 2.
 func runTraceReduction(ctx context.Context, g *graph.Graph, st *tree.Tree, res *Result, budget int, o Options) error {
 	perRound := budget / o.Rounds
@@ -354,17 +317,6 @@ func runTraceReduction(ctx context.Context, g *graph.Graph, st *tree.Tree, res *
 		perRound = budget
 	}
 	excl := newExcluder(g, st, o.SimilarityHops)
-
-	// With ERRanking, sketch the leverage scores once up front; the
-	// densification rounds use them to shrink the eq. (20) scoring pool.
-	var erScores *resist.Result
-	if o.ERRanking {
-		var err error
-		erScores, err = erEstimate(ctx, g, o, &res.Stats)
-		if err != nil {
-			return fmt.Errorf("sparsify: er ranking: %w", err)
-		}
-	}
 
 	// Round 1: exact truncated trace reduction on the tree (eq. 15).
 	t0 := time.Now()
@@ -400,13 +352,6 @@ func runTraceReduction(ctx context.Context, g *graph.Graph, st *tree.Tree, res *
 
 		t0 = time.Now()
 		cand = offSubgraphEdges(g, res.InSub)
-		if erScores != nil {
-			keep := erRankKeepFactor * quota
-			if keep < erRankKeepMin {
-				keep = erRankKeepMin
-			}
-			cand = erPrefilter(g, cand, erScores.R, keep)
-		}
 		scores, err = scoreGeneralPhase(ctx, g, res.InSub, f, z, cand, o)
 		if err != nil {
 			return fmt.Errorf("sparsify: round %d: %w", iter, err)

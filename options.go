@@ -21,27 +21,17 @@ func WithMethod(m Method) Option {
 // the effective-resistance estimator solves (0, the default, derives the
 // count from |V| and the epsilon of WithEREpsilon). More sketches buy
 // resistance accuracy — and with it sparsifier quality — linearly in
-// estimation time. It affects MethodER builds and WithERRanking only.
+// estimation time. It affects MethodER builds only.
 func WithERSketches(k int) Option {
 	return func(c *Config) { c.Sparsify.ERSketches = k }
 }
 
 // WithEREpsilon sets the target relative accuracy ε of the sketched
 // effective resistances (default 0.5); the auto-derived sketch count
-// grows as 1/ε². It affects MethodER builds and WithERRanking only, and
-// is ignored when WithERSketches pins the count explicitly.
+// grows as 1/ε². It affects MethodER builds only, and is ignored when
+// WithERSketches pins the count explicitly.
 func WithEREpsilon(eps float64) Option {
 	return func(c *Config) { c.Sparsify.EREpsilon = eps }
-}
-
-// WithERRanking reuses sketched effective resistances inside trace
-// reduction: each densification round's candidate pool is prefiltered to
-// the highest-leverage (w·R_eff) off-subgraph edges before the eq. (20)
-// trace scoring runs. One sketch estimation is paid up front; each round
-// then scores a small, spectrally relevant slice instead of every
-// candidate. It has no effect on methods other than TraceReduction.
-func WithERRanking() Option {
-	return func(c *Config) { c.Sparsify.ERRanking = true }
 }
 
 // WithAlpha sets the fraction of |V| off-tree edges to recover

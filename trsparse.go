@@ -32,9 +32,7 @@
 // (Spielman–Srivastava effective-resistance sampling via
 // Johnson–Lindenstrauss sketches, a quality-vs-speed dial tuned with
 // WithERSketches / WithEREpsilon) — and WithSparsifierGraph to measure a
-// subgraph you built yourself. WithERRanking reuses the sketched
-// resistances inside trace reduction itself, prefiltering each recovery
-// round's candidate pool by leverage score.
+// subgraph you built yourself.
 //
 // Large graphs can be built through the partition-parallel sharded
 // pipeline (WithShardThreshold, WithShards): the graph is recursively
@@ -104,7 +102,7 @@ const (
 	FeGRASS = sparsify.FeGRASS
 	// MethodER is Spielman–Srivastava effective-resistance sampling
 	// (arXiv:0803.0929): per-edge resistances are estimated with
-	// Johnson–Lindenstrauss sketches solved through the PCG stack,
+	// Johnson–Lindenstrauss sketches solved against one Cholesky factor,
 	// then off-tree edges are importance-sampled proportional to
 	// w·R_eff with weight reweighting (the spanning tree is always
 	// kept). A single-round quality-vs-speed dial: faster to build
