@@ -24,10 +24,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/lap"
-	"repro/internal/precond"
 	"repro/internal/shard"
-	"repro/internal/solver"
 	"repro/internal/sparsify"
 )
 
@@ -346,17 +343,6 @@ func BenchmarkShardedSparsify(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedPencil is the PR-4 acceptance benchmark: after a
-// sharded build of a 600×600 grid sparsifier, the solve handle still
-// needs a preconditioner for the stitched result — previously one
-// monolithic Cholesky, the dominant remaining superlinear cost. The
-// "factor" sub-benchmarks time exactly that preparation (pencil assembly
-// + factorization) under each strategy: the monolithic factor vs the
-// additive-Schwarz per-cluster factors plus the coarse cut-coupling
-// system, built on 4 workers over the plan's own clusters. The "solve"
-// sub-benchmarks then time one end-to-end PCG solve at rtol 1e-6 through
-// each prepared pencil and report the iteration counts, so the Schwarz
-// iteration penalty is visible next to the factorization win.
 // BenchmarkERSparsify is the PR-7 acceptance benchmark: trace-reduction
 // construction (the paper's Algorithm 2, monolithic default) against
 // effective-resistance sampling (MethodER) on the same large grid. The
@@ -425,88 +411,14 @@ func BenchmarkERSparsify(b *testing.B) {
 	})
 }
 
-func BenchmarkShardedPencil(b *testing.B) {
-	ctx := context.Background()
-	// Same deliberately unscaled graph as BenchmarkShardedSparsify: the
-	// sharded pencil exists for graphs where a monolithic factorization
-	// hurts.
-	g := Grid2D(600, 600, 1)
-	res, err := shard.Sparsify(ctx, g, shard.Options{
-		Threshold: g.N / 32,
-		Sparsify:  sparsify.Options{Seed: 1, Workers: 4},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Shards == nil || res.Shards.Assign == nil {
-		b.Fatal("sharded build did not thread a plan assignment")
-	}
-	sub, shift, assign := res.Sparsifier, res.Shift, res.Shards.Assign
-	schwarz := func() precond.Builder {
-		return precond.NewSchwarz(assign, precond.SchwarzOptions{Workers: 4})
-	}
-
-	b.Run("factor/monolithic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewPencil(g, sub, shift); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("factor/schwarz", func(b *testing.B) {
-		var pen *core.Pencil
-		for i := 0; i < b.N; i++ {
-			var err error
-			if pen, err = core.NewPencilWith(g, sub, shift, schwarz()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(pen.PreStats.Clusters), "clusters")
-	})
-
-	rng := rand.New(rand.NewSource(17))
-	rhs := make([]float64, g.N)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	solveThrough := func(b *testing.B, pen *core.Pencil) {
-		b.Helper()
-		iters := 0
-		for i := 0; i < b.N; i++ {
-			x := make([]float64, g.N)
-			r := pen.Solve(rhs, x, solver.Options{Tol: 1e-6})
-			if !r.Converged {
-				b.Fatalf("solve did not converge (relres %g after %d iters)", r.RelRes, r.Iterations)
-			}
-			iters = r.Iterations
-		}
-		b.ReportMetric(float64(iters), "pcg-iters")
-	}
-	b.Run("solve/monolithic", func(b *testing.B) {
-		pen, err := core.NewPencil(g, sub, shift)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		solveThrough(b, pen)
-	})
-	b.Run("solve/schwarz", func(b *testing.B) {
-		pen, err := core.NewPencilWith(g, sub, shift, schwarz())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		solveThrough(b, pen)
-	})
-}
-
 // BenchmarkIncrementalRebuild is the PR-5 acceptance benchmark: after a
 // cold sharded build of the 600×600 grid, a ≤1% edge delta confined to
 // one corner slab of the grid is applied two ways — "cold" rebuilds the
 // updated graph from scratch through the same sharded pipeline, while
 // "incremental" goes through Sparsifier.Update, which maps the delta
-// onto dirty clusters via the retained plan and adopts every clean
-// cluster's sparsifier and Schwarz factor verbatim. The gap is the
+// onto dirty clusters via the retained plan, adopts every clean
+// cluster's sparsifier verbatim and refactors the monolithic factor. The
+// gap is the
 // shard-level cache's payoff; reused-frac reports the cluster reuse the
 // acceptance criteria gate (≥ 80%), and pcg-iters the solve-quality cost
 // of the reuse (≤ 1.2× cold).
@@ -581,85 +493,8 @@ func BenchmarkIncrementalRebuild(b *testing.B) {
 			b.Fatal("update did not take the incremental path")
 		}
 		b.ReportMetric(float64(st.ClustersReused)/float64(st.Shards), "reused-frac")
-		b.ReportMetric(float64(s.PrecondStats().FactorsReused), "factors-reused")
+		b.ReportMetric(float64(s.UpdateStats().RefactorRows), "refactor-rows")
 		reportIters(b, s)
-	})
-}
-
-// BenchmarkSchwarzApply is the PR-8 apply-path benchmark: one
-// application of the same two-level Schwarz preconditioner on the
-// 600×600 grid under three schedules. "sequential" forces the
-// single-goroutine sweep (ApplyWorkers < 0); "parallel4" fans each
-// color's support-disjoint block corrections across 4 workers —
-// bit-identical output (test-gated), with the wall-clock win scaling
-// with available cores (on a single-core machine the gate keeps the
-// dispatch overhead near zero but there is no parallel speedup to
-// collect); "panel8" applies one 8-column panel through ApplyPanel and
-// is the schedule SolveBatch's block PCG uses — its win is
-// bandwidth-side and shows even on one core, because every factor and
-// matrix traversal is paid once per panel instead of once per column
-// (compare its ns/op against 8× the sequential number).
-func BenchmarkSchwarzApply(b *testing.B) {
-	// Same deliberately unscaled graph as the other sharded benchmarks.
-	g := Grid2D(600, 600, 1)
-	a := lap.Laplacian(g, lap.Shift(g, 0))
-	// 32 contiguous stripes, the same clustering the 600-grid bit-identity
-	// test uses: striped couplings keep several blocks per color, so the
-	// parallel path has something to fan out.
-	assign := make([]int, g.N)
-	for i := range assign {
-		c := i * 32 / g.N
-		if c > 31 {
-			c = 31
-		}
-		assign[i] = c
-	}
-	build := func(b *testing.B, applyWorkers int) *precond.SchwarzPrecond {
-		b.Helper()
-		pre, _, err := precond.NewSchwarz(assign, precond.SchwarzOptions{
-			Workers: 4, Overlap: 4, ApplyWorkers: applyWorkers,
-		}).Build(a)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return pre.(*precond.SchwarzPrecond)
-	}
-	rng := rand.New(rand.NewSource(23))
-	r := make([]float64, g.N)
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	z := make([]float64, g.N)
-
-	b.Run("sequential", func(b *testing.B) {
-		p := build(b, -1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Apply(z, r)
-		}
-	})
-	b.Run("parallel4", func(b *testing.B) {
-		p := build(b, 4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Apply(z, r)
-		}
-	})
-	b.Run("panel8", func(b *testing.B) {
-		const s = 8
-		p := build(b, 4)
-		rp := make([]float64, g.N*s)
-		for i := 0; i < g.N; i++ {
-			for k := 0; k < s; k++ {
-				rp[i*s+k] = r[i]
-			}
-		}
-		zp := make([]float64, g.N*s)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.ApplyPanel(zp, rp, s)
-		}
-		b.ReportMetric(float64(s), "rhs-per-op")
 	})
 }
 

@@ -125,7 +125,7 @@ func TestSparsifyDigestDifferential(t *testing.T) {
 
 	t.Run("build options stay in the identity", func(t *testing.T) {
 		keys := map[string]string{"": art.Key}
-		for _, q := range []string{"?precond=monolithic", "?method=er", "?shards=2&shard_threshold=100"} {
+		for _, q := range []string{"?method=er", "?shards=2&shard_threshold=100"} {
 			_, first := sparsifyBytes(t, ts, q, body)
 			_, again := sparsifyBytes(t, ts, q, body)
 			if first.Cached || !again.Cached || again.Key != first.Key {

@@ -33,13 +33,12 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", engine.DefaultCacheSize, "max cached sparsifier artifacts")
 	clusterCache := flag.Int("cluster-cache", engine.DefaultClusterCacheSize, "max cached per-cluster artifacts for incremental /v2/update rebuilds (-1 disables)")
-	clusterCacheBytes := flag.Int64("cluster-cache-bytes", 0, "byte budget for cached per-cluster artifacts, edge lists plus Schwarz factors (0 = count-bounded only)")
+	clusterCacheBytes := flag.Int64("cluster-cache-bytes", 0, "byte budget for cached per-cluster sparsifier edge lists (0 = count-bounded only)")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job timeout including queue wait (0 disables)")
 	maxVertices := flag.Int("max-vertices", 0, "vertex bound for a single monolithic build; larger graphs go through the sharded pipeline (0 disables)")
 	hardMaxVertices := flag.Int("hard-max-vertices", 0, "absolute admission cap, sharded path included (0 = 8x max-vertices)")
 	shardThreshold := flag.Int("shard-threshold", 0, "shard graphs above this vertex count even below max-vertices (0 shards only when max-vertices forces it)")
 	shards := flag.Int("shards", 0, "default cluster count K for sharded builds (0 = auto from threshold)")
-	applyWorkers := flag.Int("apply-workers", 0, "per-apply goroutine fan-out of Schwarz preconditioners, bit-identical to sequential (0 = GOMAXPROCS, negative = sequential)")
 	coalesceWindow := flag.Duration("coalesce-window", 0, "hold /v2/solve requests this long to coalesce same-artifact solves into one block solve (0 disables)")
 	method := flag.String("method", "trace", "sparsification method: trace | grass | fegrass | er")
 	alpha := flag.Float64("alpha", 0, "fraction of |V| off-tree edges to recover (0 = paper default 0.10)")
@@ -65,7 +64,6 @@ func main() {
 		HardMaxVertices:   *hardMaxVertices,
 		ShardThreshold:    *shardThreshold,
 		Shards:            *shards,
-		ApplyWorkers:      *applyWorkers,
 		CoalesceWindow:    *coalesceWindow,
 		Sparsify:          sparsify.Options{Method: m, Alpha: *alpha, Rounds: *rounds, Seed: *seed},
 		StreamMaxSessions: *streamSessions,

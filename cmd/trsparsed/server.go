@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/precond"
 	"repro/internal/sparsify"
 	"repro/internal/wire"
 )
@@ -171,13 +170,10 @@ type shardInfo struct {
 // precondInfo is the response-side summary of how the artifact's
 // preconditioner was built.
 type precondInfo struct {
-	Kind       string  `json:"kind"`
-	Clusters   int     `json:"clusters,omitempty"`
-	CoarseSize int     `json:"coarse_size,omitempty"`
-	Colors     int     `json:"colors,omitempty"`
-	FactorNNZ  int64   `json:"factor_nnz"`
-	MemBytes   int64   `json:"mem_bytes"`
-	BuildMS    float64 `json:"build_ms"`
+	Kind      string  `json:"kind"`
+	FactorNNZ int64   `json:"factor_nnz"`
+	MemBytes  int64   `json:"mem_bytes"`
+	BuildMS   float64 `json:"build_ms"`
 }
 
 // precondInfoOf extracts the preconditioner summary from an artifact.
@@ -187,13 +183,10 @@ func precondInfoOf(art *engine.Artifact) *precondInfo {
 		return nil
 	}
 	return &precondInfo{
-		Kind:       ps.Kind,
-		Clusters:   ps.Clusters,
-		CoarseSize: ps.CoarseSize,
-		Colors:     ps.Colors,
-		FactorNNZ:  ps.FactorNNZ,
-		MemBytes:   ps.MemBytes,
-		BuildMS:    float64(ps.BuildTime) / float64(time.Millisecond),
+		Kind:      ps.Kind,
+		FactorNNZ: ps.FactorNNZ,
+		MemBytes:  ps.MemBytes,
+		BuildMS:   float64(ps.BuildTime) / float64(time.Millisecond),
 	}
 }
 
@@ -217,8 +210,7 @@ type sparsifyReply struct {
 	// server's -shard-threshold default, or admission above
 	// -max-vertices).
 	Sharded *shardInfo
-	// Precond reports how the artifact's preconditioner was built
-	// (?precond=monolithic|schwarz|auto selects the strategy).
+	// Precond reports how the artifact's preconditioner was built.
 	Precond *precondInfo
 }
 
@@ -261,8 +253,8 @@ func appendInfo(e *wire.Encoder, sharded *shardInfo, pc *precondInfo) {
 
 // buildOptsFrom parses the per-request build overrides: ?shards=K,
 // ?shard_threshold=N (non-negative integers; 0 inherits the server
-// default), ?precond=auto|monolithic|schwarz, and
-// ?method=trace|grass|fegrass|er (absent inherits the server default).
+// default) and ?method=trace|grass|fegrass|er (absent inherits the server
+// default). Any other parameter is ignored.
 func buildOptsFrom(r *http.Request) (engine.BuildOpts, error) {
 	var bo engine.BuildOpts
 	for _, p := range []struct {
@@ -281,13 +273,6 @@ func buildOptsFrom(r *http.Request) (engine.BuildOpts, error) {
 			return bo, fmt.Errorf("invalid %s %q (want a non-negative integer)", p.name, raw)
 		}
 		*p.dst = v
-	}
-	if raw := r.URL.Query().Get("precond"); raw != "" {
-		kind, err := precond.ParseKind(raw)
-		if err != nil {
-			return bo, fmt.Errorf("invalid precond %q (want auto, monolithic, or schwarz)", raw)
-		}
-		bo.Precond = kind
 	}
 	if raw := r.URL.Query().Get("method"); raw != "" {
 		m, err := sparsify.ParseMethod(raw)
@@ -455,7 +440,7 @@ func (b *deltaBody) toDelta() (graph.Delta, error) {
 
 // reuseInfo is the response-side summary of what an incremental rebuild
 // avoided: which fraction of the plan's clusters adopted their cached
-// sparsifier verbatim, and how many Schwarz factors were reused.
+// sparsifier verbatim.
 type reuseInfo struct {
 	// Incremental is false when the rebuild fell back to a full build
 	// (monolithic base, rebalance guard replan, or abandoned plan).
@@ -463,7 +448,10 @@ type reuseInfo struct {
 	Clusters             int     `json:"clusters"`
 	ClustersReused       int     `json:"clusters_reused"`
 	ClusterReuseFraction float64 `json:"cluster_reuse_fraction"`
-	FactorsReused        int     `json:"factors_reused"`
+	// FactorsReused is 0 on every build: every handle carries the
+	// monolithic factor. Kept for perfbench/replay.go until ROADMAP item
+	// 11.
+	FactorsReused int `json:"factors_reused"`
 }
 
 func reuseInfoOf(art *engine.Artifact) *reuseInfo {
@@ -590,11 +578,7 @@ type solveReply struct {
 	RelRes     float64
 	Converged  bool
 	Cached     bool
-	// Precond reports the preconditioner the solve ran through. For
-	// inline graphs ?precond= selects the strategy at build time; for
-	// by-key solves the artifact's existing preconditioner is reported
-	// (the key pins the build, so ?precond= cannot change it — re-POST
-	// /v2/sparsify with the desired strategy instead).
+	// Precond reports the preconditioner the solve ran through.
 	Precond *precondInfo
 }
 
@@ -814,7 +798,7 @@ func (r *partitionReply) appendJSON(e *wire.Encoder) {
 // spectral bipartition via the sparsifier-preconditioned Fiedler vector —
 // through the same cached artifacts the solve path uses. An inline graph
 // is built with the same per-request overrides as /v2/sparsify and
-// /v2/solve (?method=, ?shards=, ?shard_threshold=, ?precond=).
+// /v2/solve (?method=, ?shards=, ?shard_threshold=).
 func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, err := requestCtx(r)
 	if err != nil {

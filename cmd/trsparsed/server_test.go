@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -575,65 +576,47 @@ func TestV2SparsifyShardParams(t *testing.T) {
 	}
 }
 
-// TestV2PrecondParam: ?precond= selects the preconditioner strategy, the
-// response carries the stats block, and the strategy participates in the
-// artifact identity. Solving through the Schwarz artifact still converges.
+// TestV2PrecondParam: the precond query parameter selects nothing. Every artifact carries
+// the monolithic factor, so a request that still names a strategy — a
+// former one or an unknown one — is answered from the default build's
+// cache entry under the same key, not built a second time or refused.
 func TestV2PrecondParam(t *testing.T) {
 	ts := newTestServer(t)
 	g := gen.Grid2D(30, 30, 2)
 
-	var auto sparsifyResponse
-	if resp := postJSON(t, ts.URL+"/v2/sparsify?edges=false", graphRequest(g), &auto); resp.StatusCode != http.StatusOK {
+	var first sparsifyResponse
+	if resp := postJSON(t, ts.URL+"/v2/sparsify?edges=false", graphRequest(g), &first); resp.StatusCode != http.StatusOK {
 		t.Fatalf("default sparsify status = %d", resp.StatusCode)
 	}
-	if auto.Precond == nil || auto.Precond.Kind != "monolithic" {
-		t.Fatalf("default precond block = %+v, want monolithic", auto.Precond)
+	if first.Precond == nil || first.Precond.Kind != "monolithic" {
+		t.Fatalf("default precond block = %+v, want monolithic", first.Precond)
 	}
-	if auto.Precond.FactorNNZ <= 0 || auto.Precond.BuildMS < 0 {
-		t.Fatalf("precond block incomplete: %+v", auto.Precond)
+	if first.Precond.FactorNNZ <= 0 || first.Precond.BuildMS < 0 {
+		t.Fatalf("precond block incomplete: %+v", first.Precond)
+	}
+	for _, kind := range []string{"schwarz", "banana"} {
+		q := url.Values{"edges": {"false"}, "precond": {kind}}.Encode()
+		var again sparsifyResponse
+		if resp := postJSON(t, ts.URL+"/v2/sparsify?"+q, graphRequest(g), &again); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: sparsify status = %d", q, resp.StatusCode)
+		}
+		if !again.Cached || again.Key != first.Key || again.Precond == nil || again.Precond.Kind != "monolithic" {
+			t.Fatalf("%s: key %q cached=%v precond block %+v, want the cached %q", q, again.Key, again.Cached, again.Precond, first.Key)
+		}
 	}
 
-	var sch sparsifyResponse
-	if resp := postJSON(t, ts.URL+"/v2/sparsify?edges=false&precond=schwarz", graphRequest(g), &sch); resp.StatusCode != http.StatusOK {
-		t.Fatalf("schwarz sparsify status = %d", resp.StatusCode)
-	}
-	if sch.Precond == nil || sch.Precond.Kind != "schwarz" || sch.Precond.Clusters < 2 {
-		t.Fatalf("schwarz precond block = %+v", sch.Precond)
-	}
-	if sch.Key == auto.Key {
-		t.Fatal("schwarz and auto artifacts share a key")
-	}
-
-	// Solve by key against the Schwarz artifact.
+	// An inline-graph solve naming a strategy reuses the same artifact.
 	b := make([]float64, g.N)
 	for i := range b {
 		b[i] = signOf(i)
 	}
 	var sol solveResponse
-	if resp := postJSON(t, ts.URL+"/v2/solve", solveRequest{Key: sch.Key, B: b}, &sol); resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve status = %d", resp.StatusCode)
-	}
-	if !sol.Converged || sol.Precond == nil || sol.Precond.Kind != "schwarz" {
-		t.Fatalf("solve: converged=%v precond=%+v", sol.Converged, sol.Precond)
-	}
-
-	// Inline-graph solve with ?precond= builds (or reuses) the Schwarz
-	// artifact directly.
-	var sol2 solveResponse
-	if resp := postJSON(t, ts.URL+"/v2/solve?precond=schwarz",
-		solveRequest{Graph: &graphPayload{N: g.N, Edges: edgesPayload(g)}, B: b}, &sol2); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v2/solve?"+url.Values{"precond": {"schwarz"}}.Encode(),
+		solveRequest{Graph: &graphPayload{N: g.N, Edges: edgesPayload(g)}, B: b}, &sol); resp.StatusCode != http.StatusOK {
 		t.Fatalf("inline solve status = %d", resp.StatusCode)
 	}
-	if sol2.Key != sch.Key || !sol2.Converged {
-		t.Fatalf("inline schwarz solve: key=%q want %q, converged=%v", sol2.Key, sch.Key, sol2.Converged)
-	}
-
-	var e errorResponse
-	if resp := postJSON(t, ts.URL+"/v2/sparsify?precond=ilu", graphRequest(g), &e); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad precond status = %d, want 400", resp.StatusCode)
-	}
-	if e.Code != "invalid_request" {
-		t.Fatalf("bad precond code = %q", e.Code)
+	if sol.Key != first.Key || !sol.Converged || sol.Precond == nil || sol.Precond.Kind != "monolithic" {
+		t.Fatalf("inline solve: key=%q want %q, converged=%v, precond block %+v", sol.Key, first.Key, sol.Converged, sol.Precond)
 	}
 }
 

@@ -265,7 +265,7 @@ func matchMarshal(t *testing.T, name string, a jsonAppender, old any) {
 func TestRepliesMatchMarshal(t *testing.T) {
 	edges := []graph.Edge{{U: 0, V: 1, W: 0.7169828444088467}, {U: 2, V: 40000, W: 1e-7}, {U: 3, V: 4, W: 2.5e21}, {U: 5, V: 6, W: 1}}
 	sh := &shardInfo{Shards: 4, CutEdges: 10, CutFraction: 0.125, CutRetained: 3, CutRecovered: 2}
-	pc := &precondInfo{Kind: "schwarz", Clusters: 4, FactorNNZ: 100, MemBytes: 2048, BuildMS: 1.5}
+	pc := &precondInfo{Kind: "monolithic", FactorNNZ: 100, MemBytes: 2048, BuildMS: 1.5}
 	for _, tc := range []struct {
 		edges   []graph.Edge
 		sharded *shardInfo

@@ -15,10 +15,8 @@ import (
 )
 
 // Pencil is a prepared regularized Laplacian pencil (L_G, L_P): the shared
-// diagonal shift, both assembled Laplacians, and a ready preconditioner
-// for the sparsifier side built by a pluggable precond.Builder strategy —
-// one monolithic Cholesky factorization by default, or the sharded
-// additive-Schwarz preconditioner over per-cluster factors. Every
+// diagonal shift, both assembled Laplacians, and the Cholesky
+// factorization of L_P as the preconditioner. Every
 // measurement the library exposes — PCG solves, condition-number and trace
 // estimates, Fiedler vectors — consumes exactly this bundle, so preparing
 // it once and reusing it is the unit of caching for the serving engine:
@@ -37,25 +35,24 @@ type Pencil struct {
 	Shift  []float64   // shared diagonal regularization (λmin of pencil = 1)
 	LG, LP *sparse.CSC // regularized Laplacians of G and P
 
-	// Pre is the preconditioner for L_P produced by the builder; PreStats
-	// records how it was built. Callers that held the former Factor field
-	// use the Factor method instead (nil for non-monolithic strategies).
+	// Pre is the preconditioner for L_P, the Cholesky factor behind
+	// Factor; PreStats records how it was built.
 	Pre      solver.Preconditioner
 	PreStats *precond.Stats
 }
 
 // NewPencil assembles the pencil for graph g preconditioned by sparsifier
-// p and factorizes it monolithically (the default strategy). shift is the
-// shared regularization diagonal; pass nil to compute the default
-// lap.Shift(g, 0). When the sparsifier came out of Sparsify, pass its
-// Result.Shift so the pencil matches construction.
+// p and factorizes L_P. shift is the shared regularization diagonal;
+// pass nil to compute the default lap.Shift(g, 0). When the sparsifier
+// came out of Sparsify, pass its Result.Shift so the pencil matches
+// construction.
 func NewPencil(g, p *graph.Graph, shift []float64) (*Pencil, error) {
-	return NewPencilWith(g, p, shift, nil)
+	return newPencilWith(g, p, shift, precond.NewMonolithic())
 }
 
-// NewPencilWith is NewPencil with an explicit preconditioner construction
-// strategy (nil selects the monolithic default).
-func NewPencilWith(g, p *graph.Graph, shift []float64, builder precond.Builder) (*Pencil, error) {
+// newPencilWith is NewPencil with the factor built by builder: a fresh
+// factorization or a refactor under a base factor's ordering.
+func newPencilWith(g, p *graph.Graph, shift []float64, builder precond.Builder) (*Pencil, error) {
 	if g == nil || p == nil {
 		return nil, fmt.Errorf("core: pencil needs both a graph and a sparsifier")
 	}
@@ -65,17 +62,13 @@ func NewPencilWith(g, p *graph.Graph, shift []float64, builder precond.Builder) 
 	if shift == nil {
 		shift = lap.Shift(g, 0)
 	}
-	if builder == nil {
-		builder = precond.NewMonolithic()
-	}
 	return newPencilFromLaplacians(g.N, shift, lap.Laplacian(g, shift), lap.Laplacian(p, shift), builder)
 }
 
 // newPencilFromLaplacians wraps pre-assembled Laplacians into a Pencil and
 // builds the preconditioner — the seam the streaming-delta fast path
 // uses to hand in patched matrices instead of paying two full triplet
-// assemblies per update. builder must be non-nil here; NewPencilWith
-// resolves the default.
+// assemblies per update.
 func newPencilFromLaplacians(n int, shift []float64, lg, lp *sparse.CSC, builder precond.Builder) (*Pencil, error) {
 	pen := &Pencil{
 		N:     n,
@@ -85,13 +78,8 @@ func newPencilFromLaplacians(n int, shift []float64, lg, lp *sparse.CSC, builder
 	}
 	pre, st, err := builder.Build(pen.LP)
 	if err != nil {
-		switch {
-		case errors.Is(err, chol.ErrNotPD):
+		if errors.Is(err, chol.ErrNotPD) {
 			err = fmt.Errorf("%w: %w", ErrNotSPD, err)
-		case errors.Is(err, precond.ErrBadAssignment):
-			// A malformed cluster assignment is a caller-side sizing bug,
-			// not a numerically bad matrix.
-			err = fmt.Errorf("%w: %w", ErrDimension, err)
 		}
 		return nil, wrapCanceled(fmt.Errorf("core: building %s preconditioner for sparsifier: %w", builder.Kind(), err))
 	}
@@ -100,10 +88,10 @@ func newPencilFromLaplacians(n int, shift []float64, lg, lp *sparse.CSC, builder
 	return pen, nil
 }
 
-// Factor returns the single sparse Cholesky factorization backing the
-// preconditioner when the monolithic strategy built it, and nil otherwise
-// (a Schwarz preconditioner holds one factor per cluster, not one global
-// one). It replaces the former public Factor field; see MIGRATION.md.
+// Factor returns the sparse Cholesky factorization backing the
+// preconditioner, or nil for a Pencil assembled by hand around another
+// preconditioner. It replaces the former public Factor field; see
+// MIGRATION.md.
 func (p *Pencil) Factor() *chol.Factor {
 	if f, ok := p.Pre.(solver.Factored); ok {
 		return f.Factor()
@@ -148,17 +136,11 @@ func (p *Pencil) SolveBlockCtx(ctx context.Context, bs, xs [][]float64, opts sol
 
 // CondNumberCtx is CondNumber with cancellation, polled per Lanczos step.
 func (p *Pencil) CondNumberCtx(ctx context.Context, steps int, seed int64) (float64, error) {
-	o := eig.GenMaxOptions{Steps: steps, Seed: seed}
-	var k float64
-	var err error
-	if f := p.Factor(); f != nil {
-		// Exact-factor path: similarity-transform Lanczos through the
-		// triangular factors, bitwise-identical to the pre-refactor
-		// behaviour.
-		k, err = eig.CondNumberCtx(ctx, p.LG, f, o)
-	} else {
-		k, err = eig.CondNumberApplyCtx(ctx, p.LG, p.Pre.Apply, o)
+	f := p.Factor()
+	if f == nil {
+		return 0, errors.New("core: condition number needs the pencil's Cholesky factor")
 	}
+	k, err := eig.CondNumberCtx(ctx, p.LG, f, eig.GenMaxOptions{Steps: steps, Seed: seed})
 	return k, wrapCanceled(err)
 }
 
@@ -189,19 +171,15 @@ func (p *Pencil) FiedlerCtx(ctx context.Context, steps int, tol float64, seed in
 }
 
 // CondNumber estimates the largest generalized eigenvalue of the
-// preconditioned pencil by Lanczos: λmax(L_P⁻¹ L_G) under the monolithic
-// strategy (exactly κ(L_G, L_P), the paper's quality metric), and
-// λmax(M⁻¹ L_G) — the effective condition number PCG actually sees,
-// including the Schwarz decomposition penalty — for Apply-only
-// preconditioners. steps ≤ 0 selects the default (80).
+// preconditioned pencil by Lanczos: λmax(L_P⁻¹ L_G), exactly κ(L_G, L_P),
+// the paper's quality metric. steps ≤ 0 selects the default (80).
 func (p *Pencil) CondNumber(steps int, seed int64) float64 {
 	k, _ := p.CondNumberCtx(context.Background(), steps, seed)
 	return k
 }
 
-// TraceEst estimates Tr(M⁻¹ L_G) — Tr(L_P⁻¹ L_G) under the monolithic
-// strategy — with a Hutchinson stochastic estimator; probes ≤ 0 selects
-// the default (30).
+// TraceEst estimates Tr(L_P⁻¹ L_G) with a Hutchinson stochastic
+// estimator; probes ≤ 0 selects the default (30).
 func (p *Pencil) TraceEst(probes int, seed int64) float64 {
 	t, _ := p.TraceEstCtx(context.Background(), probes, seed)
 	return t

@@ -60,25 +60,6 @@ type Config struct {
 	// Shards is the cluster count K for the sharded pipeline (0 derives
 	// K from ShardThreshold: ceil(N/ShardThreshold)).
 	Shards int
-	// Precond selects the preconditioner construction strategy for the
-	// pencil. precond.Auto (the zero value) picks the monolithic Cholesky
-	// of the sparsifier for every build, sharded or not; an Update
-	// refactors it under the base handle's ordering. precond.Schwarz
-	// opts into two-level Schwarz over the plan's clusters; on a
-	// monolithic build it plans clusters on the sparsifier subgraph
-	// first.
-	Precond precond.Kind
-	// Overlap overrides the Schwarz preconditioner's overlap layers
-	// (0 keeps the adaptive default ≈ √(N/K)/4; negative disables
-	// overlap). Ignored by the monolithic strategy.
-	Overlap int
-	// ApplyWorkers bounds the Schwarz preconditioner's per-apply
-	// parallelism: within each sweep color the block corrections are
-	// independent and fan out across this many goroutines, bit-identical
-	// to the sequential sweep. 0 uses GOMAXPROCS; negative forces the
-	// sequential sweep. Ignored by the monolithic strategy (a single
-	// triangular solve has no blocks to fan out).
-	ApplyWorkers int
 	// Rebalance is the incremental rebuild's balance-guard factor: an
 	// Update whose delta grew any retained cluster past Rebalance × its
 	// fair edge share (M/K), or past Rebalance × its own base-build size,
@@ -89,15 +70,17 @@ type Config struct {
 	// (default solver.DefaultCheckEvery).
 	CheckEvery int
 
-	// Clusters and Factors are optional shared artifact caches for the
-	// sharded pipeline: per-cluster sparsifier edge sets keyed by cluster
-	// fingerprint, and per-cluster Schwarz factors under the same keys.
-	// The serving engine wires both to its cluster store so cold builds
+	// Clusters is an optional shared cache of per-cluster sparsifier
+	// edge sets for the sharded pipeline, keyed by cluster fingerprint.
+	// The serving engine wires it to its cluster store so cold builds
 	// populate it and Update calls reuse it; handle-level Updates work
-	// without them (the base handle seeds a private cache) but populate
-	// them when present.
+	// without it (the base handle seeds a private cache) but populate it
+	// when present.
 	Clusters shard.ClusterCache
-	Factors  precond.FactorCache
+	// Factors is read by nothing in this package: every handle carries
+	// the monolithic factor. Kept for perfbench/replay.go until ROADMAP
+	// item 11.
+	Factors precond.FactorCache
 }
 
 // erPlanVertices is the graph size above which the ER method routes
@@ -106,11 +89,13 @@ type Config struct {
 // construction path that solves systems in L_G itself, and a monolithic
 // factorization of L_G stops being cheap well before the rest of the
 // stack notices graph size. The value doubles as the cluster-size
-// target for those ER builds; 4096 is measured, not asymptotic — on
-// the 600×600 grid it builds ~4.7× faster than 16384-vertex clusters
-// (3.2s vs 15.5s: Cholesky fill on a cluster's full local Laplacian
-// grows superlinearly) while halving it again buys nothing
-// (per-cluster orchestration overhead dominates below this size).
+// target for those ER builds, which carry the monolithic factor of the
+// stitched sparsifier like every other handle. 4096 is measured, not
+// asymptotic — on the 600×600 grid it builds ~4.7× faster than
+// 16384-vertex clusters (3.2s vs 15.5s: Cholesky fill on a cluster's
+// full local Laplacian grows superlinearly) while halving it again buys
+// nothing (per-cluster orchestration overhead dominates below this
+// size).
 const erPlanVertices = 4096
 
 // withDefaults fills measurement defaults (construction defaults are
@@ -219,10 +204,9 @@ func NewSparsifier(ctx context.Context, g *graph.Graph, cfg Config) (*Sparsifier
 			// construction cost has a superlinear monolithic term — so
 			// above this size it always goes through the sharded
 			// pipeline: per-cluster estimates solve against small local
-			// factors, and the plan is exactly the Schwarz structure
-			// the tentpole solves reuse. Sharding here is the method's
-			// own scaling decision, not the operator's (who may have
-			// left ShardThreshold unset for trace-reduction workloads).
+			// factors. Sharding here is the method's own scaling
+			// decision, not the operator's (who may have left
+			// ShardThreshold unset for trace-reduction workloads).
 			res, err = shard.Sparsify(ctx, g, shard.Options{
 				Shards:    cfg.Shards,
 				Threshold: erPlanVertices,
@@ -242,54 +226,13 @@ func NewSparsifier(ctx context.Context, g *graph.Graph, cfg Config) (*Sparsifier
 		shift = res.Shift
 	}
 
-	builder, err := s.precondBuilder(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pen, err := NewPencilWith(g, s.sub, shift, builder)
+	pen, err := NewPencil(g, s.sub, shift)
 	if err != nil {
 		return nil, err
 	}
 	s.pen = pen
 	s.buildTime = time.Since(start)
 	return s, nil
-}
-
-// precondBuilder resolves the configured preconditioner strategy into a
-// concrete builder. Auto picks the monolithic factor; an explicit Schwarz
-// request uses the sharded build's cluster assignment, or on a
-// monolithic, prebuilt or abandoned-plan handle plans clusters on the
-// sparsifier subgraph first, which is cheap: the subgraph is
-// tree-plus-α sparse.
-func (s *Sparsifier) precondBuilder(ctx context.Context, cfg Config) (precond.Builder, error) {
-	if cfg.Precond != precond.Schwarz {
-		return precond.NewMonolithic(), nil
-	}
-	var assign []int
-	var keys []string
-	if s.res != nil && s.res.Shards != nil {
-		assign = s.res.Shards.Assign
-		keys = s.res.Shards.ClusterKeys
-	}
-	if assign == nil {
-		plan, err := shard.NewPlan(ctx, s.sub, shard.Options{
-			Shards:    cfg.Shards,
-			Threshold: cfg.ShardThreshold,
-			Sparsify:  cfg.Sparsify,
-		})
-		if err != nil {
-			return nil, wrapCanceled(err)
-		}
-		assign = plan.Assign
-	}
-	return precond.NewSchwarz(assign, precond.SchwarzOptions{
-		Workers:      cfg.Sparsify.Workers,
-		Overlap:      cfg.Overlap,
-		Keys:         keys,
-		Cache:        cfg.Factors,
-		ApplyWorkers: cfg.ApplyWorkers,
-		Ctx:          ctx,
-	}), nil
 }
 
 // componentCount returns the number of connected components.
@@ -438,11 +381,7 @@ func (s *Sparsifier) SolveBatchTol(ctx context.Context, bs [][]float64, tol floa
 
 // CondNumber estimates the largest generalized eigenvalue of the
 // preconditioned pencil by Lanczos with the configured step count and
-// seed: exactly κ(L_G, L_P) — the paper's quality metric — when the
-// handle carries the monolithic factorization (the Auto default), and
-// the effective condition number λmax(M⁻¹ L_G) PCG actually sees
-// (Schwarz decomposition penalty included) when it carries the opt-in
-// Schwarz preconditioner.
+// seed: κ(L_G, L_P), the paper's quality metric.
 func (s *Sparsifier) CondNumber(ctx context.Context) (float64, error) {
 	return s.CondNumberWith(ctx, s.cfg.LanczosSteps, s.cfg.Sparsify.Seed)
 }
@@ -456,9 +395,7 @@ func (s *Sparsifier) CondNumberWith(ctx context.Context, steps int, seed int64) 
 
 // TraceProxy estimates the trace of the preconditioned operator with a
 // Hutchinson estimator using the configured probe count and seed:
-// Tr(L_P⁻¹ L_G) — the paper's condition-number proxy (eq. 5) — under the
-// monolithic strategy, and Tr(M⁻¹ L_G) for the effective preconditioner
-// M under the opt-in Schwarz strategy (see CondNumber).
+// Tr(L_P⁻¹ L_G), the paper's condition-number proxy (eq. 5).
 func (s *Sparsifier) TraceProxy(ctx context.Context) (float64, error) {
 	return s.TraceProxyWith(ctx, s.cfg.TraceProbes, s.cfg.Sparsify.Seed)
 }
@@ -565,13 +502,12 @@ func (s *Sparsifier) BuildTime() time.Duration { return s.buildTime }
 func (s *Sparsifier) UpdateStats() *UpdateStats { return s.upd }
 
 // PrecondStats reports how the pencil's preconditioner was built: the
-// strategy, per-cluster factor nonzeros, coarse system size, and build
-// time. Never nil.
+// strategy, factor nonzeros, memory, build time and refactor rows.
+// Never nil.
 func (s *Sparsifier) PrecondStats() *precond.Stats { return s.pen.PreStats }
 
-// FactorNNZ reports the total nonzeros across the preconditioner's
-// Cholesky factors (one monolithic factor, or every Schwarz cluster
-// factor).
+// FactorNNZ reports the nonzeros of the preconditioner's Cholesky
+// factor.
 func (s *Sparsifier) FactorNNZ() int { return int(s.pen.PreStats.FactorNNZ) }
 
 // MemBytes reports the preconditioner's storage footprint.

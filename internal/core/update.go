@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chol"
 	"repro/internal/graph"
 	"repro/internal/lap"
 	"repro/internal/precond"
@@ -61,11 +60,10 @@ type UpdateStats struct {
 	// Compacted reports DropZeros ran during this update.
 	StoredZeros int
 	Compacted   bool
-	// RefactorRows counts the rows of the monolithic factor this update
-	// recomputed under the base handle's ordering; the others were
-	// copied. Reordered reports that the factor's fill passed the
-	// reorder bound, so L_P was ordered and factorized afresh. Both stay
-	// zero under the Schwarz strategy.
+	// RefactorRows counts the rows of the factor this update recomputed
+	// under the base handle's ordering; the others were copied.
+	// Reordered reports that the factor's fill passed the reorder bound,
+	// so L_P was ordered and factorized afresh.
 	RefactorRows int
 	Reordered    bool
 }
@@ -77,10 +75,9 @@ type UpdateStats struct {
 //
 // For a handle built through the sharded pipeline the rebuild is
 // incremental AND localized: the retained plan assignment maps the delta
-// onto dirty clusters, clean clusters' sparsifier edges (and, under the
-// opt-in Schwarz strategy, their factors) are adopted verbatim
-// (ShardStats.ClustersReused / PrecondStats.FactorsReused report how
-// many), the stitch re-decides only cut edges incident to dirty clusters
+// onto dirty clusters, clean clusters' sparsifier edges are adopted
+// verbatim (ShardStats.ClustersReused reports how many), the stitch
+// re-decides only cut edges incident to dirty clusters
 // (ShardStats.StitchLocalized), the pencil's Laplacians are patched in
 // place instead of reassembled, and the monolithic factor is refactored
 // under the base ordering along the elimination-tree ancestors of the
@@ -148,11 +145,11 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	}
 
 	start := time.Now()
-	// Seed a cache from the base handle's own artifacts, chained over the
-	// shared caches (if any), so Update reuses the base's work even with
-	// no engine behind it — and an engine-evicted cluster entry is
-	// re-served from the handle that still holds it.
-	hc := seedHandleCache(base, cfg.Clusters, cfg.Factors)
+	// Seed a cache from the base handle's own cluster edge sets, chained
+	// over the shared cache (if any), so Update reuses the base's work
+	// even with no engine behind it — and an engine-evicted cluster entry
+	// is re-served from the handle that still holds it.
+	hc := seedHandleCache(base, cfg.Clusters)
 	var baseEdges []int
 	for _, sb := range st.PerShard {
 		baseEdges = append(baseEdges, sb.Edges)
@@ -171,17 +168,7 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 		return nil, wrapCanceled(err)
 	}
 	out := &Sparsifier{cfg: cfg, n: newG.N, res: res, sub: res.Sparsifier}
-	pcfg := cfg
-	pcfg.Factors = hc
-	builder, err := out.precondBuilder(ctx, pcfg)
-	if err != nil {
-		return nil, err
-	}
-	var baseFactor *chol.Factor
-	if builder.Kind() == precond.Monolithic.String() {
-		baseFactor = base.pen.Factor()
-	}
-	pen, upd, lgZeros, lpZeros, err := updatedPencil(base, newG, p, res, builder, baseFactor)
+	pen, upd, lgZeros, lpZeros, err := updatedPencil(base, newG, p, res)
 	if err != nil {
 		return nil, err
 	}
@@ -243,30 +230,27 @@ const storedZeroCompactionDiv = 8
 // stitch proved the delta stayed inside the dirty region, both Laplacians
 // are derived by in-place CSC patching of the base pencil under the base
 // shift — O(dirty) instead of O(n + m) — with per-side fallback to cold
-// assembly on any script mismatch. Otherwise this is NewPencilWith.
+// assembly on any script mismatch. Otherwise both are assembled cold.
 //
-// A non-nil baseFactor replaces builder with a refactor under that
-// factor's ordering. It is told the L_P columns the patch script touched,
+// Either way the factor is refactored under the base factor's ordering
+// (precond.NewRefactor), told the L_P columns the patch script touched,
 // or every column once L_P was assembled cold or compacted.
 //
 // The patched pencil keeps the BASE shift: lap.Shift is a global constant
 // (rel × mean weighted degree), so a delta nudges it everywhere and
 // re-deriving it would force a full-diagonal rewrite. The drift is
-// bounded by the delta's share of total weight — the same stale-values
-// argument that lets Schwarz factors be reused — and resets to exact on
+// bounded by the delta's share of total weight and resets to exact on
 // the next cold rebuild or replan.
-func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *sparsify.Result, builder precond.Builder, baseFactor *chol.Factor) (*Pencil, *UpdateStats, int, int, error) {
+func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *sparsify.Result) (*Pencil, *UpdateStats, int, int, error) {
+	baseFactor := base.pen.Factor()
 	st := res.Shards
 	upd := &UpdateStats{Localized: st != nil && st.StitchLocalized}
 	patchable := p != nil && base.pen != nil &&
 		st != nil && st.Incremental && st.StitchLocalized && !st.Abandoned &&
 		st.CutRepaired == 0 && res.Reweight == nil
 	if !patchable {
-		if baseFactor != nil {
-			builder = precond.NewRefactor(baseFactor, nil)
-		}
 		t := time.Now()
-		pen, err := NewPencilWith(newG, res.Sparsifier, res.Shift, builder)
+		pen, err := newPencilWith(newG, res.Sparsifier, res.Shift, precond.NewRefactor(baseFactor, nil))
 		if err != nil {
 			return nil, nil, 0, 0, err
 		}
@@ -324,11 +308,8 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 	}
 	upd.PatchTime = time.Since(t) - upd.AssembleTime
 	upd.StoredZeros = lgZeros + lpZeros
-	if baseFactor != nil {
-		builder = precond.NewRefactor(baseFactor, changed)
-	}
 
-	pen, err := newPencilFromLaplacians(newG.N, shift, lg, lp, builder)
+	pen, err := newPencilFromLaplacians(newG.N, shift, lg, lp, precond.NewRefactor(baseFactor, changed))
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -381,34 +362,19 @@ func subPatchScript(baseSub, newSub *graph.Graph, assign []int, touched []int) (
 	return sc, true
 }
 
-// factorEntry is one cached Schwarz factor plus the extended index set it
-// was built over.
-type factorEntry struct {
-	idx []int
-	f   *chol.Factor
-}
-
 // handleCache backs an Update with the base handle's per-cluster
-// artifacts: cluster sparsifier edge sets recovered from the stitched
-// subgraph (intra-cluster edges partition exactly into the per-cluster
-// results) and Schwarz factors lifted from the base preconditioner. Reads
-// check the shared caches first and fall back to the seeded maps; writes
-// go to both, so the engine's store learns the rebuilt clusters.
+// sparsifier edge sets, recovered from the stitched subgraph
+// (intra-cluster edges partition exactly into the per-cluster results).
+// Reads check the shared cache first and fall back to the seeded map;
+// writes go to both, so the engine's store learns the rebuilt clusters.
 type handleCache struct {
 	mu       sync.Mutex
 	clusters map[string][][2]int
-	factors  map[string]factorEntry
 	extC     shard.ClusterCache
-	extF     precond.FactorCache
 }
 
-func seedHandleCache(base *Sparsifier, extC shard.ClusterCache, extF precond.FactorCache) *handleCache {
-	hc := &handleCache{
-		clusters: make(map[string][][2]int),
-		factors:  make(map[string]factorEntry),
-		extC:     extC,
-		extF:     extF,
-	}
+func seedHandleCache(base *Sparsifier, extC shard.ClusterCache) *handleCache {
+	hc := &handleCache{clusters: make(map[string][][2]int), extC: extC}
 	st := base.ShardStats()
 	keys := st.ClusterKeys
 	if len(keys) != st.Shards {
@@ -423,14 +389,6 @@ func seedHandleCache(base *Sparsifier, extC shard.ClusterCache, extF precond.Fac
 	}
 	for c, pairs := range byCluster {
 		hc.clusters[keys[c]] = pairs
-	}
-	if sp, ok := base.pen.Pre.(*precond.SchwarzPrecond); ok && sp.NumClusters() == st.Shards {
-		for c := 0; c < st.Shards; c++ {
-			idx, f := sp.ClusterFactor(c)
-			if f != nil {
-				hc.factors[keys[c]] = factorEntry{idx: idx, f: f}
-			}
-		}
 	}
 	return hc
 }
@@ -456,29 +414,5 @@ func (h *handleCache) AddCluster(key string, edges [][2]int) {
 	h.mu.Unlock()
 	if h.extC != nil {
 		h.extC.AddCluster(key, edges)
-	}
-}
-
-func (h *handleCache) GetFactor(key string) (*chol.Factor, []int, bool) {
-	if h.extF != nil {
-		if f, idx, ok := h.extF.GetFactor(key); ok {
-			return f, idx, true
-		}
-	}
-	h.mu.Lock()
-	e, ok := h.factors[key]
-	h.mu.Unlock()
-	if ok {
-		return e.f, e.idx, true
-	}
-	return nil, nil, false
-}
-
-func (h *handleCache) AddFactor(key string, f *chol.Factor, idx []int) {
-	h.mu.Lock()
-	h.factors[key] = factorEntry{idx: idx, f: f}
-	h.mu.Unlock()
-	if h.extF != nil {
-		h.extF.AddFactor(key, f, idx)
 	}
 }

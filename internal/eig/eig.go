@@ -107,94 +107,6 @@ func CondNumberCtx(ctx context.Context, lg *sparse.CSC, fs *chol.Factor, opts Ge
 	return TridiagMax(alpha, beta), nil
 }
 
-// CondNumberApplyCtx estimates λmax(M⁻¹ L_G) for an SPD preconditioner
-// M given only its application z = M⁻¹ r (no factorization access). It
-// is the Apply-only counterpart of CondNumberCtx: it runs the
-// preconditioned Lanczos recurrence on the pencil (L_G, M) in the
-// M-inner product, tracking each Lanczos vector zⱼ together with its dual
-// rⱼ = M zⱼ, so only products with L_G and applications of M⁻¹ are needed
-// (M itself is never multiplied). The tridiagonal matrix it builds has the
-// spectrum of M⁻¹ L_G; its largest eigenvalue is the effective condition
-// number of the M-preconditioned system when λmin = 1 (which holds for the
-// pencil constructions in this library: the preconditioner dominates a
-// subgraph of G under the shared shift). The context is polled before
-// every step.
-//
-// The apply callback may be internally concurrent — the Schwarz
-// preconditioner fans its same-color block corrections across a worker
-// pool with pooled scratch — as long as it has written all of z before
-// returning. Lanczos only needs that sequential contract, and the
-// Schwarz fan-out is bit-identical to its sequential sweep, so estimates
-// stay deterministic.
-func CondNumberApplyCtx(ctx context.Context, lg *sparse.CSC, apply func(z, r []float64), opts GenMaxOptions) (float64, error) {
-	n := lg.Cols
-	steps := opts.Steps
-	if steps <= 0 {
-		steps = 80
-	}
-	if steps > n {
-		steps = n
-	}
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-
-	r := make([]float64, n) // rⱼ = M zⱼ (dual of the current Lanczos vector)
-	z := make([]float64, n) // zⱼ, M-orthonormal across steps
-	rPrev := make([]float64, n)
-	w := make([]float64, n)
-	zNext := make([]float64, n)
-
-	for i := range r {
-		r[i] = rng.NormFloat64()
-	}
-	apply(z, r)
-	b0 := math.Sqrt(dot(r, z)) // ‖z‖_M via rᵀz = zᵀMz
-	if !(b0 > 0) {
-		return 0, nil
-	}
-	for i := range r {
-		r[i] /= b0
-		z[i] /= b0
-	}
-
-	alpha := make([]float64, 0, steps)
-	beta := make([]float64, 0, steps)
-	var betaPrev float64
-	for k := 0; k < steps; k++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		lg.MulVec(z, w) // w = L_G zⱼ, living in the dual (r) space
-		if betaPrev != 0 {
-			for i := range w {
-				w[i] -= betaPrev * rPrev[i]
-			}
-		}
-		a := dot(w, z) // = zⱼᵀ L_G zⱼ (the β rPrev term is M-orthogonal to zⱼ)
-		alpha = append(alpha, a)
-		for i := range w {
-			w[i] -= a * r[i]
-		}
-		apply(zNext, w)
-		b := math.Sqrt(dot(w, zNext)) // ‖w‖_{M⁻¹} ≥ 0 for SPD M
-		if !(b > 1e-13) {
-			break
-		}
-		beta = append(beta, b)
-		betaPrev = b
-		// Rotate: rPrev ← rⱼ, (r, z) ← (w, zNext)/b.
-		rPrev, r, w = r, w, rPrev
-		z, zNext = zNext, z
-		for i := range r {
-			r[i] /= b
-			z[i] /= b
-		}
-	}
-	if len(beta) >= len(alpha) && len(beta) > 0 {
-		beta = beta[:len(alpha)-1]
-	}
-	return TridiagMax(alpha, beta), nil
-}
-
 // TridiagMax returns the largest eigenvalue of the symmetric tridiagonal
 // matrix with diagonal alpha and off-diagonal beta (len(beta) =
 // len(alpha)−1), by bisection on the Sturm sequence count.

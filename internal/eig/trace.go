@@ -33,9 +33,7 @@ func TraceEstCtx(ctx context.Context, lg *sparse.CSC, fs *chol.Factor, probes in
 // estimates Tr(M⁻¹ L_G) for any SPD operator M given just the application
 // x = M⁻¹ y. Probe vectors and accumulation are identical to the factored
 // path, so the two agree exactly when apply wraps the same factorization.
-// An internally concurrent apply (the Schwarz fan-out with its pooled
-// scratch) is fine: each probe only requires x to be fully written on
-// return, and the fan-out is bit-identical to the sequential sweep.
+// Each probe only requires x to be fully written when apply returns.
 func TraceEstApplyCtx(ctx context.Context, lg *sparse.CSC, apply func(x, y []float64), probes int, seed int64) (float64, error) {
 	n := lg.Cols
 	if probes <= 0 {

@@ -15,8 +15,8 @@ import (
 const DefaultClusterCacheSize = 1024
 
 // clusterEntry is one cluster's cached artifacts: the sparsifier edge
-// set as global endpoint pairs (shard.ClusterCache) and, once the pencil
-// has been built, the cluster's Schwarz factor with its extended index
+// set as global endpoint pairs (shard.ClusterCache) and, when a caller
+// stores one through AddFactor, a Schwarz factor with its extended index
 // set (precond.FactorCache). Both halves share one key — the cluster
 // fingerprint — and one LRU slot.
 type clusterEntry struct {
@@ -48,10 +48,9 @@ func entryBytes(e *clusterEntry) int64 {
 }
 
 // ClusterStore is a mutex-guarded LRU of per-cluster artifacts keyed by
-// cluster fingerprint (shard.ClusterKey). It implements both
-// shard.ClusterCache and precond.FactorCache, so one store serves the
-// sparsifier-reuse and factor-reuse halves of an incremental rebuild; it
-// sits alongside the whole-graph Store, and entries outlive the
+// cluster fingerprint (shard.ClusterKey). It implements
+// shard.ClusterCache, the sparsifier reuse of an incremental rebuild,
+// and precond.FactorCache; it sits alongside the whole-graph Store, and entries outlive the
 // whole-graph artifacts they were built for (two graphs sharing an
 // untouched cluster share its entry).
 type ClusterStore struct {
@@ -71,9 +70,7 @@ type ClusterStore struct {
 // entries (capacity ≤ 0 selects DefaultClusterCacheSize) and at most
 // maxBytes of accounted artifact footprint (0 disables the byte budget).
 // Entry count bounds metadata churn; the byte budget is what actually
-// bounds memory — a Schwarz factor is thousands of times the size of an
-// edge list, so a store full of factors hits the byte ceiling long
-// before the entry ceiling.
+// bounds memory, because entries vary with cluster size.
 func NewClusterStore(capacity int, maxBytes int64) *ClusterStore {
 	if capacity <= 0 {
 		capacity = DefaultClusterCacheSize
@@ -153,7 +150,8 @@ func (s *ClusterStore) AddCluster(key string, edges [][2]int) {
 
 // GetFactor implements precond.FactorCache. Factor lookups ride the same
 // entries but are not counted as cluster hits/misses — the headline
-// reuse metric is the sparsifier-rebuild one.
+// reuse metric is the sparsifier-rebuild one. No engine path stores a
+// factor; kept for perfbench/replay.go until ROADMAP item 11.
 func (s *ClusterStore) GetFactor(key string) (*chol.Factor, []int, bool) {
 	if e, ok := s.get(key); ok && e.factor != nil {
 		return e.factor, e.factorIdx, true
@@ -161,7 +159,8 @@ func (s *ClusterStore) GetFactor(key string) (*chol.Factor, []int, bool) {
 	return nil, nil, false
 }
 
-// AddFactor implements precond.FactorCache.
+// AddFactor implements precond.FactorCache. Kept for
+// perfbench/replay.go until ROADMAP item 11.
 func (s *ClusterStore) AddFactor(key string, f *chol.Factor, idx []int) {
 	s.upsert(key, func(e *clusterEntry) { e.factor, e.factorIdx = f, idx })
 }

@@ -10,7 +10,6 @@ import (
 	"weak"
 
 	"repro/internal/gen"
-	"repro/internal/precond"
 	"repro/internal/sparsify"
 	"repro/internal/wire"
 )
@@ -23,7 +22,6 @@ func TestBodyDigestSeparatesOptions(t *testing.T) {
 		"default":    {},
 		"threshold":  {ShardThreshold: 100},
 		"shards":     {Shards: 100},
-		"precond":    {Precond: precond.Monolithic},
 		"method":     {Method: &er},
 		"both sizes": {ShardThreshold: 100, Shards: 100},
 	} {
@@ -49,7 +47,7 @@ func TestAliasIndexBoundedByCache(t *testing.T) {
 	e := New(Options{Workers: 2, CacheSize: cacheSize})
 	g := gen.Grid2D(8, 8, 1)
 	er := sparsify.ER
-	opts := []BuildOpts{{}, {Precond: precond.Monolithic}, {Method: &er}}
+	opts := []BuildOpts{{}, {ShardThreshold: 32}, {Method: &er}}
 	for i := range 10 {
 		bo := opts[i%len(opts)]
 		d := BodyDigest(bo, []byte(fmt.Sprintf(`{"graph":%d}`, i)))

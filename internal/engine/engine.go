@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/precond"
 	"repro/internal/shard"
 	"repro/internal/sparsify"
 )
@@ -55,15 +54,12 @@ type Options struct {
 	// ClusterCacheSize bounds the per-cluster artifact store backing
 	// incremental rebuilds (default DefaultClusterCacheSize). Cold
 	// sharded builds populate it; Update calls reuse untouched clusters'
-	// sparsifiers and Schwarz factors from it. Negative disables
-	// cluster caching entirely.
+	// sparsifiers from it. Negative disables cluster caching entirely.
 	ClusterCacheSize int
 	// ClusterCacheBytes bounds the cluster store's accounted artifact
-	// footprint — edge lists plus Schwarz factors — in bytes (0 disables
-	// the byte budget; entries then bound only by count). The byte budget
-	// is the one that actually sizes memory: factors dominate, and their
-	// size varies with cluster geometry, so a count bound alone can be
-	// off by orders of magnitude.
+	// footprint in bytes (0 disables the byte budget; entries then bound
+	// only by count). Edge lists vary with cluster size, so the byte
+	// budget is the one that sizes memory.
 	ClusterCacheBytes int64
 	// JobTimeout bounds one request's total wait — queueing plus work —
 	// per job (0 disables). A timed-out build keeps running in the
@@ -95,17 +91,6 @@ type Options struct {
 	// Shards is the default cluster count K for sharded builds (0 = auto
 	// from the effective threshold).
 	Shards int
-	// Precond is the default preconditioner construction strategy for
-	// built artifacts (precond.Auto picks the monolithic factor for every
-	// build; see core.Config.Precond).
-	Precond precond.Kind
-	// ApplyWorkers bounds the per-apply goroutine fan-out of Schwarz
-	// preconditioners built by this engine: same-color block corrections
-	// are support-disjoint and run concurrently, bit-identical to the
-	// sequential sweep (0 = GOMAXPROCS, negative forces sequential). It
-	// has no effect on monolithic preconditioners. See
-	// core.Config.ApplyWorkers.
-	ApplyWorkers int
 	// CoalesceWindow holds each solve-by-artifact request open for this
 	// long so concurrent requests against the same artifact and tolerance
 	// collect into one block solve (a single matrix sweep and
@@ -257,9 +242,6 @@ func (e *Engine) NoteDigest(d Digest, key string) { e.store.AddAlias(d, key) }
 type BuildOpts struct {
 	ShardThreshold int
 	Shards         int
-	// Precond overrides the engine's preconditioner strategy for this
-	// build (precond.Auto inherits; the HTTP layer maps ?precond= here).
-	Precond precond.Kind
 	// Method overrides the sparsification algorithm for this build (nil
 	// inherits the engine's Sparsify.Method; the HTTP layer maps ?method=
 	// here). Like the other overrides it joins the artifact identity: the
@@ -303,10 +285,6 @@ func (e *Engine) resolveBuild(g *graph.Graph, fp Fingerprint, bo BuildOpts) (cor
 			threshold = e.opts.MaxVertices
 		}
 	}
-	kind := bo.Precond
-	if kind == precond.Auto {
-		kind = e.opts.Precond
-	}
 	method := e.opts.Sparsify.Method
 	if bo.Method != nil {
 		method = *bo.Method
@@ -316,18 +294,12 @@ func (e *Engine) resolveBuild(g *graph.Graph, fp Fingerprint, bo BuildOpts) (cor
 		MaxVertices:    hard,
 		ShardThreshold: threshold,
 		Shards:         shards,
-		Precond:        kind,
-		// ApplyWorkers stays out of the artifact key: the fan-out is
-		// bit-identical to the sequential sweep, so the same graph built
-		// with a different worker bound is the same artifact.
-		ApplyWorkers: e.opts.ApplyWorkers,
 	}
 	cfg.Sparsify.Method = method
 	if e.clusters != nil {
 		// Wire the shared cluster store into every build, so cold sharded
 		// builds populate it and incremental rebuilds draw on it.
 		cfg.Clusters = e.clusters
-		cfg.Factors = e.clusters
 	}
 	key := fp.Key()
 	if threshold > 0 && g.N > threshold {
@@ -341,13 +313,6 @@ func (e *Engine) resolveBuild(g *graph.Graph, fp Fingerprint, bo BuildOpts) (cor
 			shard.Options{Shards: shards, Threshold: threshold})
 		cfg.Shards = resolved
 		key = fmt.Sprintf("%s-st%d-k%d", key, threshold, resolved)
-	}
-	if kind != precond.Auto {
-		// An explicit strategy is part of the artifact identity: the same
-		// graph solved through a Schwarz and a monolithic preconditioner
-		// is two different factorizations. Auto stays keyless so default
-		// traffic keeps hitting the same entries as before.
-		key = fmt.Sprintf("%s-p%s", key, kind)
 	}
 	if method != e.opts.Sparsify.Method {
 		// A non-default method is part of the artifact identity; requests
@@ -492,9 +457,6 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 		}
 		e.c.clustersReused.Add(int64(st.ClustersReused))
 	}
-	if ps := h.PrecondStats(); ps != nil && ps.Kind == precond.Schwarz.String() {
-		e.c.schwarzPreconds.Add(1)
-	}
 	if up := h.UpdateStats(); up != nil && up.Reordered {
 		e.c.precondReorders.Add(1)
 	}
@@ -510,7 +472,7 @@ func (e *Engine) build(fp Fingerprint, key string, c *buildCall, fromUpdate bool
 
 // Update builds the artifact for "the base artifact's graph plus delta
 // d", reusing the base's plan and the cluster store: untouched clusters'
-// sparsifiers (and, under Schwarz, their factors) are adopted verbatim,
+// sparsifiers are adopted verbatim,
 // the stitch is localized to the dirty clusters, the pencil is patched in
 // place when the delta stays inside the dirty region, and the monolithic
 // factor is refactored under the base ordering (the streaming-delta fast
@@ -547,7 +509,6 @@ func (e *Engine) updateFrom(ctx context.Context, base *Artifact, p *graph.Patch)
 	_, key, err := e.resolveBuild(newG, fp, BuildOpts{
 		ShardThreshold: bcfg.ShardThreshold,
 		Shards:         bcfg.Shards,
-		Precond:        bcfg.Precond,
 		Method:         &bcfg.Sparsify.Method,
 	})
 	if err != nil {
@@ -610,7 +571,7 @@ func (e *Engine) Solve(ctx context.Context, g *graph.Graph, b []float64, tol flo
 }
 
 // SolveWith is Solve with per-request build overrides (sharding,
-// preconditioner strategy) for the artifact construction.
+// method) for the artifact construction.
 func (e *Engine) SolveWith(ctx context.Context, g *graph.Graph, b []float64, tol float64, bo BuildOpts) (*SolveResult, error) {
 	// Reject a mis-sized rhs before paying for sparsification and
 	// factorization; SolveArtifact re-checks for the by-key path.
@@ -766,30 +727,6 @@ func (e *Engine) SparsifyAll(ctx context.Context, gs []*graph.Graph) []SparsifyI
 			defer wg.Done()
 			art, hit, err := e.Sparsify(ctx, g)
 			out[i] = SparsifyItem{Index: i, Artifact: art, CacheHit: hit, Err: err}
-		}(i, g)
-	}
-	wg.Wait()
-	return out
-}
-
-// EvalItem is one graph's result from EvaluateAll.
-type EvalItem struct {
-	Index   int
-	Outcome *core.Outcome
-	Err     error
-}
-
-// EvaluateAll runs the evaluation pipeline for every graph on the pool and
-// returns per-item results in input order.
-func (e *Engine) EvaluateAll(ctx context.Context, gs []*graph.Graph, eopts core.EvalOptions) []EvalItem {
-	out := make([]EvalItem, len(gs))
-	var wg sync.WaitGroup
-	for i, g := range gs {
-		wg.Add(1)
-		go func(i int, g *graph.Graph) {
-			defer wg.Done()
-			o, err := e.Evaluate(ctx, g, eopts)
-			out[i] = EvalItem{Index: i, Outcome: o, Err: err}
 		}(i, g)
 	}
 	wg.Wait()

@@ -243,19 +243,20 @@ func TestJobTimeoutStillFillsCache(t *testing.T) {
 	}
 }
 
+// TestEvaluateAll: Engine.Evaluate runs the Table-1 pipeline on the pool
+// for each graph of a mixed set and reports a plausible outcome.
 func TestEvaluateAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("evaluation pipeline is slow in -short mode")
 	}
 	e := New(testOptions())
-	gs := []*graph.Graph{gen.Grid2D(20, 20, 1), gen.Tri2D(15, 15, 2)}
-	items := e.EvaluateAll(context.Background(), gs, core.EvalOptions{Seed: 1})
-	for _, it := range items {
-		if it.Err != nil {
-			t.Fatalf("item %d: %v", it.Index, it.Err)
+	for i, g := range []*graph.Graph{gen.Grid2D(20, 20, 1), gen.Tri2D(15, 15, 2)} {
+		o, err := e.Evaluate(context.Background(), g, core.EvalOptions{Seed: 1})
+		if err != nil {
+			t.Fatalf("graph %d: %v", i, err)
 		}
-		if it.Outcome.PCGIters <= 0 || it.Outcome.Kappa <= 0 {
-			t.Fatalf("item %d: implausible outcome %+v", it.Index, it.Outcome)
+		if o.PCGIters <= 0 || o.Kappa <= 0 {
+			t.Fatalf("graph %d: implausible outcome %+v", i, o)
 		}
 	}
 }

@@ -75,11 +75,10 @@ func BodyDigest(bo BuildOpts, body []byte) Digest {
 	if bo.Method != nil {
 		method = int64(*bo.Method)
 	}
-	var opts [32]byte
+	var opts [24]byte
 	binary.LittleEndian.PutUint64(opts[0:], uint64(bo.ShardThreshold))
 	binary.LittleEndian.PutUint64(opts[8:], uint64(bo.Shards))
-	binary.LittleEndian.PutUint64(opts[16:], uint64(bo.Precond))
-	binary.LittleEndian.PutUint64(opts[24:], uint64(method))
+	binary.LittleEndian.PutUint64(opts[16:], uint64(method))
 	h := sha256.New()
 	h.Write(opts[:])
 	h.Write(body)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/precond"
 )
 
 // TestShardedAdmissionAboveMaxVertices: a graph above MaxVertices — which
@@ -120,49 +119,29 @@ func TestLatencyPercentiles(t *testing.T) {
 	}
 }
 
-// TestPrecondInKeyAndStats: an explicit preconditioner strategy is part
-// of the artifact identity; Auto traffic keeps its historical keys. The
-// engine counts Schwarz preconditioners as they are built.
+// TestPrecondInKeyAndStats: the preconditioner is not part of the
+// artifact identity. A build's key is the graph fingerprint, the handle
+// reports the monolithic factor it carries, and the artifact solves.
 func TestPrecondInKeyAndStats(t *testing.T) {
 	g := gen.Grid2D(30, 30, 2)
 	e := New(Options{})
 	ctx := context.Background()
 
-	auto, _, err := e.Sparsify(ctx, g)
+	art, _, err := e.Sparsify(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps := auto.Handle.PrecondStats(); ps == nil || ps.Kind != "monolithic" {
-		t.Fatalf("auto monolithic build reports precond %+v", auto.Handle.PrecondStats())
+	if want := FingerprintGraph(g).Key(); art.Key != want {
+		t.Fatalf("key %q, want the plain fingerprint key %q", art.Key, want)
 	}
-	sch, hit, err := e.SparsifyWith(ctx, g, BuildOpts{Precond: precond.Schwarz})
-	if err != nil {
-		t.Fatal(err)
+	if ps := art.Handle.PrecondStats(); ps == nil || ps.Kind != "monolithic" || ps.FactorNNZ <= 0 {
+		t.Fatalf("build reports precond %+v", art.Handle.PrecondStats())
 	}
-	if hit {
-		t.Fatal("explicit schwarz request must not hit the auto entry")
-	}
-	if auto.Key == sch.Key {
-		t.Fatalf("auto and schwarz artifacts share key %q", auto.Key)
-	}
-	ps := sch.Handle.PrecondStats()
-	if ps == nil || ps.Kind != "schwarz" || ps.Clusters < 2 {
-		t.Fatalf("schwarz build reports precond %+v", ps)
-	}
-	if s := e.Stats(); s.SchwarzPreconds != 1 {
-		t.Fatalf("schwarz_preconds = %d, want 1", s.SchwarzPreconds)
-	}
-	// The Schwarz artifact solves.
 	b := make([]float64, g.N)
 	b[0], b[g.N-1] = 1, -1
-	r, err := e.SolveArtifact(ctx, sch, b, 1e-6)
+	r, err := e.SolveArtifact(ctx, art, b, 1e-6)
 	if err != nil || !r.Converged {
-		t.Fatalf("solve through schwarz artifact: converged=%v err=%v", r != nil && r.Converged, err)
-	}
-	// Identical explicit request: cache hit on the strategy-suffixed key.
-	again, hit, err := e.SparsifyWith(ctx, g, BuildOpts{Precond: precond.Schwarz})
-	if err != nil || !hit || again != sch {
-		t.Fatalf("repeat schwarz request: hit=%v err=%v", hit, err)
+		t.Fatalf("solve: converged=%v err=%v", r != nil && r.Converged, err)
 	}
 }
 
@@ -180,7 +159,7 @@ func TestShardedBuildGetsMonolithicByDefault(t *testing.T) {
 		t.Fatal("build below threshold")
 	}
 	ps := art.Handle.PrecondStats()
-	if ps == nil || ps.Kind != "monolithic" || ps.Clusters != 0 || ps.FactorNNZ <= 0 {
+	if ps == nil || ps.Kind != "monolithic" || ps.FactorNNZ <= 0 {
 		t.Fatalf("sharded build precond = %+v, want monolithic", ps)
 	}
 	if art.Handle.Pencil().Factor() == nil {
@@ -192,7 +171,7 @@ func TestShardedBuildGetsMonolithicByDefault(t *testing.T) {
 		t.Fatalf("published artifact lost incremental scaffolding: assign=%v keys=%d shards=%d",
 			st.Assign != nil, len(st.ClusterKeys), st.Shards)
 	}
-	if s := e.Stats(); s.SchwarzPreconds != 0 || s.ShardedBuilds != 1 {
-		t.Fatalf("stats: schwarz_preconds=%d sharded_builds=%d", s.SchwarzPreconds, s.ShardedBuilds)
+	if s := e.Stats(); s.ShardedBuilds != 1 {
+		t.Fatalf("stats: sharded_builds=%d", s.ShardedBuilds)
 	}
 }

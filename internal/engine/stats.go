@@ -17,13 +17,11 @@ type Stats struct {
 	CacheCap  int   `json:"cache_cap"`
 	// Sharded-pipeline behaviour: how many builds went through the
 	// partition-parallel path, the total cluster count they produced,
-	// how many plans the expander guard abandoned (high cut fraction →
-	// monolithic fallback), and how many artifacts carry an
-	// additive-Schwarz preconditioner instead of a monolithic factor.
-	ShardedBuilds   int64 `json:"sharded_builds"`
-	ShardsBuilt     int64 `json:"shards_built"`
-	AbandonedPlans  int64 `json:"abandoned_plans"`
-	SchwarzPreconds int64 `json:"schwarz_preconds"`
+	// and how many plans the expander guard abandoned (high cut
+	// fraction → monolithic fallback).
+	ShardedBuilds  int64 `json:"sharded_builds"`
+	ShardsBuilt    int64 `json:"shards_built"`
+	AbandonedPlans int64 `json:"abandoned_plans"`
 	// Incremental-rebuild behaviour: delta rebuilds served, clusters
 	// whose cached sparsifier was adopted verbatim across all builds, and
 	// the cluster store's own hit/miss/eviction accounting (one lookup
@@ -108,7 +106,6 @@ type counters struct {
 	shardedBuilds      atomic.Int64
 	shardsBuilt        atomic.Int64
 	abandonedPlans     atomic.Int64
-	schwarzPreconds    atomic.Int64
 	incrementalBuilds  atomic.Int64
 	clustersReused     atomic.Int64
 	precondReorders    atomic.Int64
@@ -176,7 +173,6 @@ func (c *counters) snapshot() Stats {
 		ShardedBuilds:     c.shardedBuilds.Load(),
 		ShardsBuilt:       c.shardsBuilt.Load(),
 		AbandonedPlans:    c.abandonedPlans.Load(),
-		SchwarzPreconds:   c.schwarzPreconds.Load(),
 		IncrementalBuilds: c.incrementalBuilds.Load(),
 		ClustersReused:    c.clustersReused.Load(),
 		PrecondReorders:   c.precondReorders.Load(),

@@ -298,15 +298,6 @@ func (g *Graph) BFSLayers(src, maxLayer int, scratch []int, visit BFSVisitor) (t
 	return touched
 }
 
-// TotalWeight returns the sum of all edge weights.
-func (g *Graph) TotalWeight() float64 {
-	var s float64
-	for _, e := range g.Edges {
-		s += e.W
-	}
-	return s
-}
-
 // Subgraph returns a new graph over the same vertex set containing only the
 // edges whose indices are listed in edgeIdx.
 func (g *Graph) Subgraph(edgeIdx []int) *Graph {

@@ -140,12 +140,6 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
-func TestTotalWeight(t *testing.T) {
-	if w := square().TotalWeight(); w != 15 {
-		t.Errorf("TotalWeight = %g, want 15", w)
-	}
-}
-
 // Property: adjacency structure is consistent — every edge appears exactly
 // twice across all adjacency lists, once per endpoint.
 func TestAdjacencyConsistencyQuick(t *testing.T) {

@@ -63,20 +63,3 @@ func Laplacian(g *graph.Graph, extraDiag []float64) *sparse.CSC {
 	}
 	return t.ToCSC()
 }
-
-// QuadraticForm returns xᵀ L_g x computed edge-wise:
-// Σ w_uv (x_u − x_v)², plus the shift contribution if extraDiag != nil.
-// Edge-wise evaluation is numerically friendlier than forming L.
-func QuadraticForm(g *graph.Graph, extraDiag, x []float64) float64 {
-	var s float64
-	for _, e := range g.Edges {
-		d := x[e.U] - x[e.V]
-		s += e.W * d * d
-	}
-	if extraDiag != nil {
-		for i, v := range extraDiag {
-			s += v * x[i] * x[i]
-		}
-	}
-	return s
-}

@@ -1,27 +1,18 @@
-// Package precond is the pluggable preconditioner-construction layer of
-// the solve stack. A core.Pencil no longer factorizes the sparsifier
-// Laplacian itself; it delegates to a Builder strategy, which turns the
-// assembled SPD matrix L_P into a solver.Preconditioner plus build
-// telemetry. Two strategies ship:
+// Package precond builds the preconditioner of the solve stack: a
+// Builder turns the assembled SPD matrix L_P into a
+// solver.Preconditioner plus build telemetry. Every handle carries the
+// monolithic strategy, one sparse Cholesky factorization of the whole
+// matrix — the paper's preconditioner. An update refactors under the
+// base factor's ordering and recomputes only the rows of L its edit
+// reaches (NewRefactor).
 //
-//   - Monolithic: one sparse Cholesky factorization of the whole matrix,
-//     the default for every build, sharded or not — the paper's
-//     preconditioner. An update refactors under the base factor's
-//     ordering and recomputes only the rows of L its edit reaches
-//     (NewRefactor).
-//   - Schwarz: a two-level additive-Schwarz preconditioner over the
-//     sharded pipeline's clusters — one Cholesky factor per cluster's
-//     principal submatrix, built concurrently, plus a coarse-grid
-//     correction assembled from the cluster quotient of L_P (one small
-//     dense Cholesky solve per application). It approximates the
-//     sparsifier a second time, so its solves take 3–4× longer than the
-//     monolithic factor's; it is opt-in (?precond=schwarz).
+// The two-level Schwarz builder (NewSchwarz) is reachable from no
+// handle, engine or server path; it stays, with FactorCache, for
+// perfbench/replay.go until ROADMAP item 11.
 package precond
 
 import (
 	"errors"
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/chol"
@@ -29,72 +20,27 @@ import (
 	"repro/internal/sparse"
 )
 
-// Kind selects the preconditioner construction strategy.
-type Kind int
-
+// Builder kind names, as Builder.Kind and Stats.Kind report them.
 const (
-	// Auto (the zero value) picks Monolithic for every build, sharded or
-	// not.
-	Auto Kind = iota
-	// Monolithic factorizes the whole matrix with one sparse Cholesky.
-	Monolithic
-	// Schwarz builds the two-level additive-Schwarz preconditioner over
-	// per-cluster factors plus a coarse cut-coupling correction.
-	Schwarz
+	kindMonolithic = "monolithic"
+	kindSchwarz    = "schwarz"
 )
-
-// String returns the wire name of the kind (also used in engine store
-// keys and the HTTP ?precond= parameter).
-func (k Kind) String() string {
-	switch k {
-	case Monolithic:
-		return "monolithic"
-	case Schwarz:
-		return "schwarz"
-	default:
-		return "auto"
-	}
-}
-
-// ParseKind maps a wire name back to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return Auto, nil
-	case "monolithic", "mono":
-		return Monolithic, nil
-	case "schwarz":
-		return Schwarz, nil
-	}
-	return Auto, fmt.Errorf("precond: unknown kind %q (want auto, monolithic, or schwarz)", s)
-}
 
 // Stats is the build telemetry of one constructed preconditioner; handles
 // expose it as PrecondStats and the HTTP service returns it alongside
 // sparsify/solve responses.
 type Stats struct {
-	// Kind is the strategy that actually built the preconditioner
-	// ("monolithic" or "schwarz" — Auto resolves before building).
+	// Kind is the strategy that built the preconditioner ("monolithic"
+	// on every handle).
 	Kind string
-	// Clusters is the number of per-cluster factors (0 for monolithic).
-	Clusters int
-	// CoarseSize is the dimension of the coarse-grid correction system
-	// (0 when the coarse level is absent: monolithic, or a single
-	// cluster).
-	CoarseSize int
-	// Colors is the number of Schwarz sweep colors (same-color clusters
-	// are A-decoupled and apply together; 0 for monolithic).
-	Colors int
 	// FactorsReused counts per-cluster Schwarz factors adopted from the
-	// factor cache instead of being refactorized (0 for monolithic or
-	// cache-less builds).
+	// factor cache instead of being refactorized; it is 0 on every
+	// monolithic build. Kept for perfbench/replay.go until ROADMAP item
+	// 11.
 	FactorsReused int
 	// FactorNNZ totals the nonzeros across all sparse factors (the one
 	// monolithic factor, or every per-cluster factor).
 	FactorNNZ int64
-	// PerClusterNNZ lists each cluster factor's nonzeros (nil for
-	// monolithic).
-	PerClusterNNZ []int
 	// MemBytes is the storage footprint of all factors plus the coarse
 	// solve.
 	MemBytes int64
@@ -141,7 +87,7 @@ func NewRefactor(base *chol.Factor, changed []int) Builder {
 	return monolithicBuilder{base: base, changed: changed}
 }
 
-func (monolithicBuilder) Kind() string { return Monolithic.String() }
+func (monolithicBuilder) Kind() string { return kindMonolithic }
 
 func (b monolithicBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, error) {
 	start := time.Now()
@@ -157,7 +103,7 @@ func (b monolithicBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, 
 		return nil, nil, err
 	}
 	return solver.NewCholPrecond(f), &Stats{
-		Kind:         Monolithic.String(),
+		Kind:         kindMonolithic,
 		FactorNNZ:    int64(f.NNZ()),
 		MemBytes:     f.MemBytes(),
 		BuildTime:    time.Since(start),
@@ -182,7 +128,8 @@ var ErrBadAssignment = errors.New("precond: cluster assignment does not match ma
 // quality gate bounds.
 //
 // Implementations must be safe for concurrent use: the Schwarz builder
-// consults the cache from its factorization workers.
+// consults the cache from its factorization workers. Kept for
+// perfbench/replay.go until ROADMAP item 11.
 type FactorCache interface {
 	// GetFactor returns the cached factor and its extended (sorted,
 	// global) index set for key.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -35,29 +37,6 @@ func stripes(n, k int) []int {
 	return assign
 }
 
-func TestParseKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want precond.Kind
-		ok   bool
-	}{
-		{"", precond.Auto, true},
-		{"auto", precond.Auto, true},
-		{"monolithic", precond.Monolithic, true},
-		{"mono", precond.Monolithic, true},
-		{"Schwarz", precond.Schwarz, true},
-		{"cholesky", precond.Auto, false},
-	} {
-		got, err := precond.ParseKind(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseKind(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if precond.Schwarz.String() != "schwarz" || precond.Monolithic.String() != "monolithic" || precond.Auto.String() != "auto" {
-		t.Errorf("kind names changed: %q %q %q", precond.Auto, precond.Monolithic, precond.Schwarz)
-	}
-}
-
 // TestSchwarzSymmetricSPD: the Schwarz operator must be symmetric
 // (xᵀM⁻¹y = yᵀM⁻¹x for random vectors) and positive definite
 // (xᵀM⁻¹x > 0), or PCG through it is meaningless.
@@ -68,11 +47,8 @@ func TestSchwarzSymmetricSPD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Kind != "schwarz" || st.Clusters != 4 || st.CoarseSize != 4 {
-		t.Fatalf("stats: kind=%q clusters=%d coarse=%d", st.Kind, st.Clusters, st.CoarseSize)
-	}
-	if st.FactorNNZ <= 0 || len(st.PerClusterNNZ) != 4 {
-		t.Fatalf("stats: factor nnz %d, per-cluster %v", st.FactorNNZ, st.PerClusterNNZ)
+	if st.Kind != "schwarz" || st.FactorNNZ <= 0 || st.MemBytes <= 0 {
+		t.Fatalf("stats: %+v", st)
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -112,12 +88,9 @@ func TestSchwarzSingleClusterDegeneratesToMonolithic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch, st, err := precond.NewSchwarz(make([]int, g.N), precond.SchwarzOptions{}).Build(a)
+	sch, _, err := precond.NewSchwarz(make([]int, g.N), precond.SchwarzOptions{}).Build(a)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Clusters != 1 || st.CoarseSize != 0 {
-		t.Fatalf("stats: clusters=%d coarse=%d, want 1 cluster and no coarse level", st.Clusters, st.CoarseSize)
 	}
 	rng := rand.New(rand.NewSource(9))
 	r := make([]float64, g.N)
@@ -247,48 +220,45 @@ func TestSchwarzQualityWithin2x(t *testing.T) {
 	t.Logf("PCG iterations: monolithic=%d schwarz=%d", rm.Iterations, rs.Iterations)
 }
 
-// TestSchwarzParallelApplyBitIdentical600Grid is the full-size
-// bit-identity gate: on the 600×600 grid Laplacian with 32 striped
-// clusters the parallel work gate engages with the real thresholds (no
-// test override), and the fanned-out apply must still be bit-identical
-// to the sequential sweep.
-func TestSchwarzParallelApplyBitIdentical600Grid(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds 32 cluster factors on a 360k-vertex grid")
-	}
-	g := gen.Grid2D(600, 600, 1)
+// TestSchwarzParallelApplyConcurrent drives many Apply calls in parallel
+// goroutines through one preconditioner — the race-job coverage for the
+// pooled scratch and the coarse solve — and checks each matches a
+// single-goroutine apply bit for bit.
+func TestSchwarzParallelApplyConcurrent(t *testing.T) {
+	g := threeCommunities(10, 9)
 	a := laplacianOf(g)
-	assign := stripes(g.N, 32)
-	// Overlap 4 keeps the factor build a few seconds; the parallel gate
-	// only cares that each color carries tens of thousands of extended
-	// vertices, which 32 stripes of 11k+ guarantee.
-	build := func(applyWorkers int) solver.Preconditioner {
-		pre, st, err := precond.NewSchwarz(assign, precond.SchwarzOptions{
-			Overlap: 4, ApplyWorkers: applyWorkers,
-		}).Build(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if applyWorkers > 1 && st.Colors < 2 {
-			t.Fatalf("striped grid colored into %d colors", st.Colors)
-		}
-		return pre
+	pre, _, err := precond.NewSchwarz(stripes(g.N, 10), precond.SchwarzOptions{}).Build(a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := build(-1)
-	par := build(4)
-
-	rng := rand.New(rand.NewSource(600))
+	rng := rand.New(rand.NewSource(31))
 	r := make([]float64, g.N)
 	for i := range r {
 		r[i] = rng.NormFloat64()
 	}
-	zs := make([]float64, g.N)
-	zp := make([]float64, g.N)
-	seq.Apply(zs, r)
-	par.Apply(zp, r)
-	for i := range zs {
-		if zs[i] != zp[i] {
-			t.Fatalf("parallel apply differs from sequential at %d: %g vs %g", i, zp[i], zs[i])
-		}
+	want := make([]float64, g.N)
+	pre.Apply(want, r)
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			z := make([]float64, g.N)
+			for range 5 {
+				pre.Apply(z, r)
+				if !slices.Equal(z, want) {
+					errs <- "concurrent apply diverged from the single-goroutine result"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if msg, ok := <-errs; ok {
+		t.Fatal(msg)
 	}
 }

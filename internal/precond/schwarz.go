@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chol"
@@ -17,18 +16,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// SchwarzOptions tunes the Schwarz builder.
+// SchwarzOptions tunes the Schwarz builder. Kept for
+// perfbench/replay.go until ROADMAP item 11.
 type SchwarzOptions struct {
-	// Overlap is how many structure layers each cluster is extended by
-	// before its principal submatrix is factorized. Wider overlap buys
-	// PCG convergence for a bounded duplication of boundary work. 0
-	// (the default) adapts to the cluster geometry — about a quarter of
-	// the mean cluster diameter √(n/K), clamped to [minOverlap,
-	// maxOverlap] — because the Schwarz condition number scales like
-	// 1 + H/δ (H the cluster diameter, δ the overlap width): a fixed δ
-	// that works at one cluster size under-delivers at twice the size.
-	// Negative disables overlap entirely.
-	Overlap int
 	// Workers bounds the concurrent per-cluster factorizations
 	// (default GOMAXPROCS).
 	Workers int
@@ -43,31 +33,21 @@ type SchwarzOptions struct {
 	// Ctx, when non-nil, is checked before each cluster's factorization;
 	// once it is done, Build fails with its error.
 	Ctx context.Context
-	// ApplyWorkers bounds the goroutines that fan one Apply's same-color
-	// block corrections out in parallel. Same-color blocks are
-	// support-disjoint and A-decoupled by the coloring invariant, so the
-	// parallel sweep is bit-identical to the sequential one. 0 (the
-	// default) uses GOMAXPROCS; negative forces the sequential sweep.
-	// Parallelism engages per color only when the color carries enough
-	// blocks and work to amortize goroutine dispatch.
-	ApplyWorkers int
 }
 
-// Overlap clamps for the adaptive default.
+// Overlap clamps.
 const (
 	minOverlap = 4
 	maxOverlap = 32
 )
 
-// resolveOverlap returns the effective extension depth for clusters
-// averaging n/k vertices.
-func (o SchwarzOptions) resolveOverlap(n, k int) int {
-	switch {
-	case o.Overlap > 0:
-		return o.Overlap
-	case o.Overlap < 0:
-		return 0
-	}
+// overlapLayers returns how many structure layers each of k clusters
+// over n vertices is extended by before its principal submatrix is
+// factorized: about a quarter of the mean cluster diameter √(n/k),
+// clamped to [minOverlap, maxOverlap], because the Schwarz condition
+// number scales like 1 + H/δ (H the cluster diameter, δ the overlap
+// width).
+func overlapLayers(n, k int) int {
 	h := int(math.Sqrt(float64(n) / float64(k)))
 	ov := (h + 3) / 4
 	if ov < minOverlap {
@@ -83,16 +63,10 @@ func (o SchwarzOptions) withDefaults() SchwarzOptions {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	switch {
-	case o.ApplyWorkers == 0:
-		o.ApplyWorkers = runtime.GOMAXPROCS(0)
-	case o.ApplyWorkers < 0:
-		o.ApplyWorkers = 1
-	}
 	return o
 }
 
-// schwarzBuilder builds SchwarzPrecond instances for a fixed cluster
+// schwarzBuilder builds schwarzPrecond instances for a fixed cluster
 // assignment (normally the sharded pipeline's plan).
 type schwarzBuilder struct {
 	assign []int
@@ -106,14 +80,14 @@ type schwarzBuilder struct {
 // is copied: the built preconditioner aggregates through it on every
 // Apply for its whole lifetime, and aliasing a caller-visible slice
 // (ShardStats.Assign) would let external mutation silently corrupt
-// cached solves.
+// cached solves. Kept for perfbench/replay.go until ROADMAP item 11.
 func NewSchwarz(assign []int, opts SchwarzOptions) Builder {
 	return &schwarzBuilder{assign: append([]int(nil), assign...), opts: opts.withDefaults()}
 }
 
-func (b *schwarzBuilder) Kind() string { return Schwarz.String() }
+func (b *schwarzBuilder) Kind() string { return kindSchwarz }
 
-// SchwarzPrecond is a symmetrized multiplicative two-level Schwarz
+// schwarzPrecond is a symmetrized multiplicative two-level Schwarz
 // preconditioner over per-cluster factors of the stitched sparsifier
 // Laplacian A = L_P. Each cluster's vertex set is extended by a few
 // overlap layers and the corresponding principal submatrix A_c is
@@ -143,8 +117,7 @@ func (b *schwarzBuilder) Kind() string { return Schwarz.String() }
 // operator degenerates to the monolithic factorization.
 //
 // Apply is safe for concurrent use: all scratch comes from a pool.
-type SchwarzPrecond struct {
-	n        int
+type schwarzPrecond struct {
 	a        *sparse.CSC // the preconditioned matrix L_P (for sweep residuals)
 	assign   []int       // base (non-overlapping) assignment, for the coarse level
 	clusters [][]int     // per-cluster extended global index sets, sorted
@@ -153,13 +126,6 @@ type SchwarzPrecond struct {
 	coarseL  *dense.Matrix // dense Cholesky factor of A₀; nil when K < 2
 	maxLocal int
 	scratch  sync.Pool
-
-	// applyWorkers bounds the per-color block fan-out; colorWork[ci] is
-	// the total extended vertex count of color ci, the work estimate the
-	// parallel gate consults.
-	applyWorkers int
-	colorWork    []int
-	panel        sync.Pool // *[]float64 raw buffers for panel applies
 }
 
 type schwarzScratch struct {
@@ -168,16 +134,8 @@ type schwarzScratch struct {
 	t, u       []float64 // sweep residual scratch
 }
 
-// parallelMinWork is the minimum extended-vertex count (× panel width)
-// one color must carry before its block corrections fan out across
-// goroutines; below it the dispatch overhead of even a handful of
-// goroutines is comparable to the block solves themselves. A variable
-// only so the bit-identity tests can force the parallel path on small
-// fixtures; real callers tune ApplyWorkers, not this.
-var parallelMinWork = 2048
-
 // Apply computes z = M⁻¹ r.
-func (p *SchwarzPrecond) Apply(z, r []float64) {
+func (p *schwarzPrecond) Apply(z, r []float64) {
 	s := p.scratch.Get().(*schwarzScratch)
 	if p.coarseL == nil {
 		// Single cluster: one exact block solve, nothing to compose.
@@ -206,19 +164,8 @@ func (p *SchwarzPrecond) Apply(z, r []float64) {
 	p.scratch.Put(s)
 }
 
-// NumClusters returns the number of per-cluster factors.
-func (p *SchwarzPrecond) NumClusters() int { return len(p.factors) }
-
-// ClusterFactor returns cluster c's extended (sorted, global) index set
-// and Cholesky factor — the handle-level Update path seeds its factor
-// cache from a base preconditioner through this. Both returns are shared,
-// immutable state; callers must not mutate them.
-func (p *SchwarzPrecond) ClusterFactor(c int) ([]int, *chol.Factor) {
-	return p.clusters[c], p.factors[c]
-}
-
 // residual computes t = r − A z (u is scratch for A z).
-func (p *SchwarzPrecond) residual(t, r, z, u []float64) {
+func (p *schwarzPrecond) residual(t, r, z, u []float64) {
 	p.a.MulVec(z, u)
 	for i := range t {
 		t[i] = r[i] - u[i]
@@ -226,7 +173,7 @@ func (p *SchwarzPrecond) residual(t, r, z, u []float64) {
 }
 
 // coarse applies the cluster-quotient correction: z (+)= R₀ᵀ A₀⁻¹ R₀ r.
-func (p *SchwarzPrecond) coarse(z, r []float64, s *schwarzScratch, add bool) {
+func (p *schwarzPrecond) coarse(z, r []float64, s *schwarzScratch, add bool) {
 	rc := s.rc
 	for c := range rc {
 		rc[c] = 0
@@ -256,28 +203,14 @@ func (p *SchwarzPrecond) coarse(z, r []float64, s *schwarzScratch, add bool) {
 // and A-decoupled, so no same-color update changes another block's
 // residual and the additions commute: the step is an exact A-orthogonal
 // projection.
-//
-// The same invariant is what makes the parallel fan-out below exact, not
-// merely approximate: block c writes z only at its own extended indices
-// (disjoint from every same-color peer's), and the z entries its residual
-// reads — rows with an A-entry into its support — belong to no same-color
-// peer either, because such a coupling entry would have linked the two
-// clusters during coloring. No location is read while another goroutine
-// writes it and no location is written twice, so the parallel sweep is
-// bit-identical to the sequential one, per color and per entry.
-func (p *SchwarzPrecond) color(z, r []float64, ci int, s *schwarzScratch) {
-	color := p.colors[ci]
-	if p.applyWorkers > 1 && len(color) > 1 && p.colorWork[ci] >= parallelMinWork {
-		p.colorParallel(z, r, color, s)
-		return
-	}
-	for _, c := range color {
+func (p *schwarzPrecond) color(z, r []float64, ci int, s *schwarzScratch) {
+	for _, c := range p.colors[ci] {
 		p.block(z, r, c, s)
 	}
 }
 
 // block applies one cluster's correction; see color for the invariants.
-func (p *SchwarzPrecond) block(z, r []float64, c int, s *schwarzScratch) {
+func (p *schwarzPrecond) block(z, r []float64, c int, s *schwarzScratch) {
 	a := p.a
 	idx := p.clusters[c]
 	rl, zl, yl := s.rl[:len(idx)], s.zl[:len(idx)], s.yl[:len(idx)]
@@ -292,38 +225,6 @@ func (p *SchwarzPrecond) block(z, r []float64, c int, s *schwarzScratch) {
 	for j, i := range idx {
 		z[i] += zl[j]
 	}
-}
-
-// colorParallel fans one color's blocks across a bounded worker pool.
-// The caller's scratch serves the inline worker; extra workers draw their
-// own from the pool, so concurrent block solves never share scratch.
-func (p *SchwarzPrecond) colorParallel(z, r []float64, color []int, s *schwarzScratch) {
-	workers := p.applyWorkers
-	if workers > len(color) {
-		workers = len(color)
-	}
-	var pos atomic.Int64
-	run := func(ws *schwarzScratch) {
-		for {
-			i := int(pos.Add(1)) - 1
-			if i >= len(color) {
-				return
-			}
-			p.block(z, r, color[i], ws)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := p.scratch.Get().(*schwarzScratch)
-			run(ws)
-			p.scratch.Put(ws)
-		}()
-	}
-	run(s)
-	wg.Wait()
 }
 
 // coarseSolve solves (L Lᵀ) x = b in place given the dense lower factor.
@@ -374,18 +275,16 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 		}
 	}
 
-	p := &SchwarzPrecond{
-		n:            n,
-		a:            a,
-		assign:       b.assign,
-		clusters:     make([][]int, k),
-		factors:      make([]*chol.Factor, k),
-		applyWorkers: b.opts.ApplyWorkers,
+	p := &schwarzPrecond{
+		a:        a,
+		assign:   b.assign,
+		clusters: make([][]int, k),
+		factors:  make([]*chol.Factor, k),
 	}
 
 	// Phase 1 (serial, cheap BFS over the structure): extend every
 	// cluster by the overlap layers.
-	overlap := b.opts.resolveOverlap(n, k)
+	overlap := overlapLayers(n, k)
 	{
 		local := make([]int, n) // global → mark scratch, all zero between uses
 		for c := range base {
@@ -393,19 +292,12 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 		}
 	}
 	p.colors = colorClusters(a, p.clusters, k)
-	p.colorWork = make([]int, len(p.colors))
-	for ci, color := range p.colors {
-		for _, c := range color {
-			p.colorWork[ci] += len(p.clusters[c])
-		}
-	}
 
 	// Phase 2 (concurrent on the worker pool): extract each extended
 	// cluster's principal submatrix and factorize it — or adopt a cached
 	// factor when the cluster's fingerprint key hits and the cached
 	// extended index set matches the freshly computed one exactly (a
 	// changed overlap geometry means the factor solves the wrong block).
-	nnz := make([]int, k)
 	errs := make([]error, k)
 	reused := make([]bool, k)
 	keyOf := func(c int) string {
@@ -434,7 +326,6 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 				if b.opts.Cache != nil && key != "" {
 					if f, idx, ok := b.opts.Cache.GetFactor(key); ok && slices.Equal(idx, p.clusters[c]) {
 						p.factors[c] = f
-						nnz[c] = f.NNZ()
 						reused[c] = true
 						continue
 					}
@@ -454,7 +345,6 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 					continue
 				}
 				p.factors[c] = f
-				nnz[c] = f.NNZ()
 				if b.opts.Cache != nil && key != "" {
 					b.opts.Cache.AddFactor(key, f, p.clusters[c])
 				}
@@ -472,14 +362,14 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 		}
 	}
 
-	st := &Stats{Kind: Schwarz.String(), Clusters: k, Colors: len(p.colors), PerClusterNNZ: nnz}
+	st := &Stats{Kind: kindSchwarz}
 	for c := range reused {
 		if reused[c] {
 			st.FactorsReused++
 		}
 	}
 	for c := range p.factors {
-		st.FactorNNZ += int64(nnz[c])
+		st.FactorNNZ += int64(p.factors[c].NNZ())
 		st.MemBytes += p.factors[c].MemBytes()
 		st.MemBytes += int64(len(p.clusters[c])) * 8
 		if len(p.clusters[c]) > p.maxLocal {
@@ -507,7 +397,6 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 			return nil, nil, fmt.Errorf("precond: coarse %d×%d system: %w", k, k, err)
 		}
 		p.coarseL = l
-		st.CoarseSize = k
 		st.MemBytes += int64(k*k) * 8
 	}
 
@@ -524,7 +413,6 @@ func (b *schwarzBuilder) Build(a *sparse.CSC) (solver.Preconditioner, *Stats, er
 		}
 		return s
 	}
-	p.panel.New = func() any { return new([]float64) }
 	st.BuildTime = time.Since(start)
 	return p, st, nil
 }

@@ -46,16 +46,15 @@ type ShardStats struct {
 	// the quantity the expander guard thresholds.
 	CutFraction float64
 
-	// Assign is the plan's per-vertex cluster assignment, threaded
-	// through so the pencil can build the additive-Schwarz
-	// preconditioner over the same clusters — and retained for the
-	// handle's lifetime (it survives Compact) so an incremental Update
-	// can map a delta's edges onto dirty clusters without replanning.
-	// Nil when the plan was abandoned.
+	// Assign is the plan's per-vertex cluster assignment, retained for
+	// the handle's lifetime (it survives Compact) so an incremental
+	// Update can map a delta's edges onto dirty clusters without
+	// replanning and the localized stitch can tell which cut edges a
+	// delta touched. Nil when the plan was abandoned.
 	Assign []int
 	// ClusterKeys holds each cluster's fingerprint (shard.ClusterKey),
-	// aligned with cluster ids. The pencil uses them to key per-cluster
-	// Schwarz factors in the cluster cache; they survive Compact.
+	// aligned with cluster ids. An Update keys the base handle's
+	// per-cluster sparsifier edge sets by them; they survive Compact.
 	ClusterKeys []string
 
 	// Incremental reports the result came from a delta rebuild that

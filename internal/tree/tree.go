@@ -175,35 +175,6 @@ func (t *Tree) Resistances(pairs [][2]int) []float64 {
 	return rs
 }
 
-// PathUp walks from v toward the root for at most steps hops (or until
-// stop is reached) and calls fn(node, parentEdge) for every edge crossed.
-// It returns the last node reached.
-func (t *Tree) PathUp(v, stop, steps int, fn func(child, edgeIdx int)) int {
-	for s := 0; s < steps && v != stop && t.Parent[v] >= 0; s++ {
-		fn(v, t.ParentEdge[v])
-		v = t.Parent[v]
-	}
-	return v
-}
-
-// PathEdges returns the G-edge indices on the unique tree path p→q, given
-// their LCA. The edges are ordered from p up to the LCA, then from the LCA
-// down to q.
-func (t *Tree) PathEdges(p, q, lcaNode int) []int {
-	var up []int
-	for v := p; v != lcaNode; v = t.Parent[v] {
-		up = append(up, t.ParentEdge[v])
-	}
-	var down []int
-	for v := q; v != lcaNode; v = t.Parent[v] {
-		down = append(down, t.ParentEdge[v])
-	}
-	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
-		down[i], down[j] = down[j], down[i]
-	}
-	return append(up, down...)
-}
-
 // OffTreeEdges returns the indices of G edges not in the tree.
 func (t *Tree) OffTreeEdges() []int {
 	out := make([]int, 0, t.G.M()-len(t.EdgeIdx))

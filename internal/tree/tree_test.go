@@ -139,6 +139,26 @@ func TestResistanceMatchesDenseLaplacian(t *testing.T) {
 	}
 }
 
+// pathEdges returns the G-edge indices on the unique tree path p→q, given
+// their LCA: from p up to the LCA, then from the LCA down to q.
+func pathEdges(t *Tree, p, q, lcaNode int) []int {
+	var up []int
+	for v := p; v != lcaNode; v = t.Parent[v] {
+		up = append(up, t.ParentEdge[v])
+	}
+	var down []int
+	for v := q; v != lcaNode; v = t.Parent[v] {
+		down = append(down, t.ParentEdge[v])
+	}
+	for i, j := 0, len(down)-1; i < j; i, j = i+1, j-1 {
+		down[i], down[j] = down[j], down[i]
+	}
+	return append(up, down...)
+}
+
+// TestPathEdgesConnectEndpoints: the parent links and the batched LCAs
+// describe real tree paths, and Resistance sums the resistance along
+// them.
 func TestPathEdgesConnectEndpoints(t *testing.T) {
 	g := gen.RandomConnected(40, 60, 5)
 	tr, err := MEWST(g)
@@ -149,7 +169,7 @@ func TestPathEdgesConnectEndpoints(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		p, q := rng.Intn(g.N), rng.Intn(g.N)
 		l := tr.LCAs([][2]int{{p, q}})[0]
-		path := tr.PathEdges(p, q, l)
+		path := pathEdges(tr, p, q, l)
 		// Walk the path from p; it must end at q using each edge once.
 		cur := p
 		for _, e := range path {
@@ -209,23 +229,6 @@ func TestOffTreeEdgesComplement(t *testing.T) {
 		if tr.InTree[e] {
 			t.Fatalf("edge %d flagged in-tree but listed off-tree", e)
 		}
-	}
-}
-
-func TestPathUpStopsAtRootOrStop(t *testing.T) {
-	g := gen.Path(6) // path graph: tree is the path itself
-	tr, err := MaxWeight(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Walk up 100 steps from a leaf: must stop at the root without panic.
-	steps := 0
-	end := tr.PathUp(5, -1, 100, func(child, e int) { steps++ })
-	if end != tr.Root {
-		t.Errorf("PathUp ended at %d, want root %d", end, tr.Root)
-	}
-	if steps != tr.Depth[5] {
-		t.Errorf("PathUp crossed %d edges, want %d", steps, tr.Depth[5])
 	}
 }
 

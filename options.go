@@ -150,39 +150,6 @@ func WithShards(k int) Option {
 	return func(c *Config) { c.Shards = k }
 }
 
-// WithPrecond selects how the sparsifier-side preconditioner is built:
-// PrecondMonolithic (one Cholesky of the whole stitched sparsifier, the
-// paper's preconditioner), PrecondSchwarz (per-cluster factors plus a
-// coarse cut-coupling correction, factorized concurrently — opt-in, with
-// solves 3–4× slower), or PrecondAuto (the default: monolithic for every
-// build, sharded or not; an Update refactors it under the base handle's
-// ordering). Handles report the decision and its cost via
-// Sparsifier.PrecondStats.
-func WithPrecond(p Precond) Option {
-	return func(c *Config) { c.Precond = p }
-}
-
-// WithSchwarzOverlap overrides how many structure layers each Schwarz
-// cluster is extended by before its principal submatrix is factorized
-// (0, the default, adapts to the cluster geometry ≈ √(N/K)/4; negative
-// disables overlap). Wider overlap buys PCG convergence for a bounded
-// duplication of boundary work. It has no effect on the monolithic
-// preconditioner.
-func WithSchwarzOverlap(layers int) Option {
-	return func(c *Config) { c.Overlap = layers }
-}
-
-// WithApplyWorkers bounds the Schwarz preconditioner's per-apply
-// parallelism: within each sweep color the block corrections are
-// support-disjoint and A-decoupled, so one Apply fans them out across
-// this many goroutines, bit-identical to the sequential sweep (0, the
-// default, uses GOMAXPROCS; negative forces the sequential sweep). It
-// has no effect on the monolithic preconditioner, whose single
-// triangular solve has no blocks to fan out.
-func WithApplyWorkers(workers int) Option {
-	return func(c *Config) { c.ApplyWorkers = workers }
-}
-
 // WithRebalanceFactor tunes the incremental rebuild's balance guard: an
 // Update whose delta grew any retained cluster past factor × its fair
 // edge share (M/K) — or past factor × its own base-build size — replans

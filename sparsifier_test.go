@@ -38,7 +38,6 @@ func TestOptionRoundTrip(t *testing.T) {
 		{"WithCancelCheckEvery", WithCancelCheckEvery(8), func(c Config) any { return c.CheckEvery }, 8},
 		{"WithShardThreshold", WithShardThreshold(4000), func(c Config) any { return c.ShardThreshold }, 4000},
 		{"WithShards", WithShards(6), func(c Config) any { return c.Shards }, 6},
-		{"WithPrecond", WithPrecond(PrecondSchwarz), func(c Config) any { return c.Precond }, PrecondSchwarz},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,87 +322,119 @@ func TestHandleCarriesShift(t *testing.T) {
 	}
 }
 
-// TestPrecondStrategies: WithPrecond steers the pencil's preconditioner
-// construction end to end — every strategy solves the same system to the
-// same answer, and the handle reports how it was built.
+// TestPrecondStrategies: every kind of handle carries the monolithic
+// Cholesky factor of its sparsifier — plain and sharded builds, a plan
+// the expander guard abandoned, ER above the size where it shards on its
+// own, an adopted sparsifier, a patched Update and an Update whose fill
+// forced a fresh ordering — reports it in PrecondStats, and solves
+// through it.
 func TestPrecondStrategies(t *testing.T) {
 	ctx := context.Background()
-	g := Grid2D(30, 30, 2)
-	rng := rand.New(rand.NewSource(4))
-	b := make([]float64, g.N)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-
-	mono, err := New(ctx, g, WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps := mono.PrecondStats(); ps == nil || ps.Kind != "monolithic" || ps.FactorNNZ <= 0 {
-		t.Fatalf("monolithic PrecondStats = %+v", mono.PrecondStats())
-	}
-	if mono.FactorNNZ() != int(mono.PrecondStats().FactorNNZ) {
-		t.Fatal("FactorNNZ accessor disagrees with PrecondStats")
-	}
-
-	sch, err := New(ctx, g, WithSeed(1), WithPrecond(PrecondSchwarz))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := sch.PrecondStats()
-	if ps == nil || ps.Kind != "schwarz" || ps.Clusters < 2 || len(ps.PerClusterNNZ) != ps.Clusters {
-		t.Fatalf("schwarz PrecondStats = %+v", ps)
-	}
-
-	// A sharded build gets the monolithic factor by default, the same
-	// factor a forced-monolithic build gets; Schwarz over the plan's
-	// clusters is opt-in.
-	shardedAuto, err := New(ctx, g, WithSeed(1), WithShardThreshold(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := shardedAuto.PrecondStats().Kind; k != "monolithic" {
-		t.Fatalf("sharded auto precond = %q, want monolithic", k)
-	}
-	shardedMono, err := New(ctx, g, WithSeed(1), WithShardThreshold(300), WithPrecond(PrecondMonolithic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := shardedMono.PrecondStats().Kind; k != "monolithic" {
-		t.Fatalf("sharded forced-monolithic precond = %q", k)
-	}
-	if shardedAuto.FactorNNZ() != shardedMono.FactorNNZ() {
-		t.Fatalf("sharded auto factor nnz %d, forced monolithic %d", shardedAuto.FactorNNZ(), shardedMono.FactorNNZ())
-	}
-	shardedSch, err := New(ctx, g, WithSeed(1), WithShardThreshold(300), WithPrecond(PrecondSchwarz))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps := shardedSch.PrecondStats(); ps.Kind != "schwarz" || ps.Clusters != shardedSch.ShardStats().Shards {
-		t.Fatalf("sharded schwarz PrecondStats = %+v, want one block per plan cluster", ps)
-	}
-
-	var ref []float64
-	for _, s := range []*Sparsifier{mono, sch, shardedAuto, shardedMono, shardedSch} {
-		sol, err := s.Solve(ctx, b)
-		if err != nil || !sol.Converged {
-			t.Fatalf("%s solve: converged=%v err=%v", s.PrecondStats().Kind, sol != nil && sol.Converged, err)
+	newHandle := func(g *Graph, opts ...Option) func(t *testing.T) *Sparsifier {
+		return func(t *testing.T) *Sparsifier {
+			s, err := New(ctx, g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
 		}
-		if ref == nil {
-			ref = sol.X
-			continue
+	}
+	grid := Grid2D(30, 30, 2)
+	sharded := newHandle(grid, WithSeed(1), WithShardThreshold(300))
+	// A complete graph: every balanced cut holds most edges, so the
+	// expander guard abandons the plan.
+	var complete []Edge
+	for u := range 40 {
+		for v := u + 1; v < 40; v++ {
+			complete = append(complete, Edge{U: u, V: v, W: 1})
 		}
-		// All strategies solve the same L_G x = b; answers agree to the
-		// PCG tolerance scale.
-		var diff, norm float64
-		for i := range ref {
-			d := sol.X[i] - ref[i]
-			diff += d * d
-			norm += ref[i] * ref[i]
+	}
+	expander, err := NewGraph(40, complete)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// cornerEdit reweights the edges inside one 6×6 corner block of the
+	// 30×30 grid.
+	cornerEdit := func(g *Graph, scale float64) Delta {
+		var d Delta
+		for _, e := range g.Edges {
+			if e.U%30 < 6 && e.U/30 < 6 && e.V%30 < 6 && e.V/30 < 6 {
+				d.Set = append(d.Set, Edge{U: e.U, V: e.V, W: e.W * scale})
+			}
 		}
-		if diff > 1e-6*norm {
-			t.Fatalf("%s solution diverges: rel² = %g", s.PrecondStats().Kind, diff/norm)
-		}
+		return d
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T) *Sparsifier
+	}{
+		{"plain", newHandle(grid, WithSeed(1))},
+		{"sharded", func(t *testing.T) *Sparsifier {
+			s := sharded(t)
+			if !s.Sharded() {
+				t.Fatal("build above the threshold did not shard")
+			}
+			return s
+		}},
+		{"expander-abandoned", func(t *testing.T) *Sparsifier {
+			s := newHandle(expander, WithSeed(1), WithShardThreshold(10), WithShards(4))(t)
+			if st := s.ShardStats(); st == nil || !st.Abandoned {
+				t.Fatalf("expander plan not abandoned: %+v", st)
+			}
+			return s
+		}},
+		{"er-above-plan-vertices", func(t *testing.T) *Sparsifier {
+			s := newHandle(Grid2D(65, 65, 3), WithSeed(1), WithMethod(MethodER))(t)
+			if !s.Sharded() {
+				t.Fatal("ER build above the plan size did not shard")
+			}
+			return s
+		}},
+		{"sparsifier-graph", func(t *testing.T) *Sparsifier {
+			return newHandle(grid, WithSparsifierGraph(sharded(t).SparsifierGraph()))(t)
+		}},
+		{"patched-update", func(t *testing.T) *Sparsifier {
+			s, err := sharded(t).Update(ctx, cornerEdit(grid, 1.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up := s.UpdateStats(); up == nil || !up.LPPatched {
+				t.Fatalf("corner reweight did not patch L_P: %+v", up)
+			}
+			return s
+		}},
+		{"reordered-update", func(t *testing.T) *Sparsifier {
+			s := sharded(t)
+			for step := range 40 {
+				next, err := s.Update(ctx, cornerEdit(s.BaseGraph(), 0.05+float64(step%7)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s = next; s.UpdateStats().Reordered {
+					return s
+				}
+			}
+			t.Fatal("no corner edit pushed the fill past the reorder bound")
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t)
+			f := s.Pencil().Factor()
+			if f == nil {
+				t.Fatal("handle carries no monolithic factor")
+			}
+			ps := s.PrecondStats()
+			if ps == nil || ps.Kind != "monolithic" || ps.FactorNNZ != int64(f.NNZ()) || s.FactorNNZ() != f.NNZ() {
+				t.Fatalf("PrecondStats %+v disagrees with the factor's %d nnz", ps, f.NNZ())
+			}
+			b := make([]float64, s.N())
+			b[0], b[s.N()-1] = 1, -1
+			if sol, err := s.Solve(ctx, b); err != nil || !sol.Converged {
+				t.Fatalf("solve: converged=%v err=%v", sol != nil && sol.Converged, err)
+			}
+		})
 	}
 }
 

@@ -131,27 +131,9 @@ type ShardStats = sparsify.ShardStats
 // ShardBuild is one cluster's build telemetry within ShardStats.
 type ShardBuild = sparsify.ShardBuild
 
-// Precond selects the preconditioner construction strategy for the
-// pencil's sparsifier side (see WithPrecond).
-type Precond = precond.Kind
-
-// Preconditioner construction strategies.
-const (
-	// PrecondAuto (default) picks the monolithic Cholesky for every
-	// build, sharded or not.
-	PrecondAuto = precond.Auto
-	// PrecondMonolithic factorizes the whole sparsifier in one sparse
-	// Cholesky.
-	PrecondMonolithic = precond.Monolithic
-	// PrecondSchwarz builds the two-level additive-Schwarz
-	// preconditioner: one factor per cluster plus a coarse cut-coupling
-	// correction.
-	PrecondSchwarz = precond.Schwarz
-)
-
 // PrecondStats is the build telemetry of a handle's preconditioner:
-// strategy, per-cluster factor nonzeros, coarse system size, memory, and
-// build time (Sparsifier.PrecondStats).
+// strategy, factor nonzeros, memory, build time and refactor rows
+// (Sparsifier.PrecondStats).
 type PrecondStats = precond.Stats
 
 // EvalOptions configures Evaluate's measurements.
@@ -172,10 +154,9 @@ func Evaluate(g *Graph, opts Options, eopts EvalOptions) (*Outcome, error) {
 }
 
 // Pencil is a prepared regularized Laplacian pencil (L_G, L_P): shared
-// shift, assembled Laplacians, and a ready preconditioner for the
-// sparsifier side — one monolithic Cholesky factorization by default, or
-// the sharded additive-Schwarz preconditioner (see WithPrecond). Handles
-// built by New carry one; access it via Sparsifier.Pencil.
+// shift, assembled Laplacians, and the Cholesky factorization of the
+// sparsifier side as the preconditioner. Handles built by New carry one;
+// access it via Sparsifier.Pencil.
 type Pencil = core.Pencil
 
 // Engine is the concurrent serving layer: a bounded worker pool plus an
