@@ -164,30 +164,6 @@ func countBelow(alpha, beta []float64, x float64) int {
 	return count
 }
 
-// PowerCond estimates κ via straightforward power iteration with the
-// Rayleigh quotient (xᵀ L_G x)/(xᵀ L_S x); slower to converge than Lanczos
-// but useful as an independent cross-check in tests.
-func PowerCond(lg, ls *sparse.CSC, fs *chol.Factor, steps int, seed int64) float64 {
-	n := lg.Cols
-	rng := rand.New(rand.NewSource(seed + 7))
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	normalize(x)
-	for k := 0; k < steps; k++ {
-		lg.MulVec(x, y)
-		fs.SolveTo(x, y)
-		normalize(x)
-	}
-	lg.MulVec(x, y)
-	num := dot(x, y)
-	ls.MulVec(x, y)
-	den := dot(x, y)
-	return num / den
-}
-
 // Fiedler computes an approximation to the Fiedler vector (eigenvector of
 // the second-smallest Laplacian eigenvalue) by `steps` rounds of inverse
 // power iteration, deflating the constant vector. solve must apply an

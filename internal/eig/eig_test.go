@@ -2,6 +2,7 @@ package eig
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/chol"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/lap"
+	"repro/internal/sparse"
 	"repro/internal/tree"
 )
 
@@ -209,4 +211,28 @@ func TestFiedlerSeparatesDumbbell(t *testing.T) {
 	if fv[0]*fv[5] > 0 {
 		t.Error("cliques on same side of the cut")
 	}
+}
+
+// PowerCond estimates κ via straightforward power iteration with the
+// Rayleigh quotient (xᵀ L_G x)/(xᵀ L_S x); slower to converge than Lanczos
+// but useful as an independent cross-check in tests.
+func PowerCond(lg, ls *sparse.CSC, fs *chol.Factor, steps int, seed int64) float64 {
+	n := lg.Cols
+	rng := rand.New(rand.NewSource(seed + 7))
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	normalize(x)
+	for k := 0; k < steps; k++ {
+		lg.MulVec(x, y)
+		fs.SolveTo(x, y)
+		normalize(x)
+	}
+	lg.MulVec(x, y)
+	num := dot(x, y)
+	ls.MulVec(x, y)
+	den := dot(x, y)
+	return num / den
 }

@@ -200,14 +200,6 @@ func (g *Graph) EdgeBetween(u, v int) (int, bool) {
 	return 0, false
 }
 
-// Neighbors calls fn(v, edgeIndex, w) for every half-edge (u, v).
-func (g *Graph) Neighbors(u int, fn func(v, edgeIdx int, w float64)) {
-	for p := g.AdjStart[u]; p < g.AdjStart[u+1]; p++ {
-		e := g.AdjEdge[p]
-		fn(g.AdjTarget[p], e, g.Edges[e].W)
-	}
-}
-
 // Connected reports whether the graph is connected (true for N ≤ 1).
 func (g *Graph) Connected() bool {
 	if g.N <= 1 {

@@ -262,3 +262,11 @@ func BenchmarkNewLargeDedup(b *testing.B) {
 		}
 	}
 }
+
+// Neighbors calls fn(v, edgeIndex, w) for every half-edge (u, v).
+func (g *Graph) Neighbors(u int, fn func(v, edgeIdx int, w float64)) {
+	for p := g.AdjStart[u]; p < g.AdjStart[u+1]; p++ {
+		e := g.AdjEdge[p]
+		fn(g.AdjTarget[p], e, g.Edges[e].W)
+	}
+}

@@ -117,87 +117,6 @@ func SimulateDirect(gr *Grid, opts TransientOpts) (*TransientResult, error) {
 	return res, nil
 }
 
-// SimulateDirectVaried runs the direct solver on the *varied-step*
-// schedule the iterative engine uses, factorizing (G + C/h) anew for every
-// distinct step size (factors are cached per h, which is already generous
-// to the method). The paper asserts this regime is "extremely
-// time-consuming due to the expensive matrix factorizations performed
-// whenever the time step changes" without measuring it; this engine makes
-// the claim testable.
-func SimulateDirectVaried(gr *Grid, opts TransientOpts) (*TransientResult, error) {
-	o := opts.withDefaults()
-	start := time.Now()
-
-	a0 := gr.ConductanceMatrix()
-	fdc, err := chol.New(a0, chol.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("pg: factorizing DC matrix: %w", err)
-	}
-	u := make([]float64, gr.N)
-	gr.RHS(0, u)
-	x := fdc.Solve(u)
-
-	res := &TransientResult{
-		FactorNNZ: fdc.NNZ(),
-		MemBytes:  fdc.MemBytes(),
-		Probes:    map[int][]Sample{},
-	}
-	res.recordProbes(0, x, o.Probes)
-
-	factors := map[int64]*chol.Factor{}
-	scaled := make([]float64, gr.N)
-	factorFor := func(h float64) (*chol.Factor, error) {
-		key := int64(math.Round(h * 1e15))
-		if f, ok := factors[key]; ok {
-			return f, nil
-		}
-		for i, c := range gr.Cap {
-			scaled[i] = c / h
-		}
-		f, err := chol.New(a0.AddDiag(scaled), chol.Options{})
-		if err != nil {
-			return nil, err
-		}
-		factors[key] = f
-		res.MemBytes += f.MemBytes()
-		return f, nil
-	}
-
-	bps := gr.Breakpoints(o.Horizon)
-	b := make([]float64, gr.N)
-	y := make([]float64, gr.N)
-	t := 0.0
-	bi := 0
-	for t < o.Horizon-1e-18 {
-		next := t + o.MaxStep
-		for bi < len(bps) && bps[bi] <= t+1e-18 {
-			bi++
-		}
-		if bi < len(bps) && bps[bi] < next {
-			next = bps[bi]
-		}
-		if next > o.Horizon {
-			next = o.Horizon
-		}
-		h := next - t
-		f, err := factorFor(h)
-		if err != nil {
-			return nil, fmt.Errorf("pg: refactorizing for h=%.3g: %w", h, err)
-		}
-		gr.RHS(next, u)
-		for i := range b {
-			b[i] = gr.Cap[i]/h*x[i] + u[i]
-		}
-		f.SolveToNoAlloc(x, b, y)
-		res.Steps++
-		t = next
-		res.recordProbes(t, x, o.Probes)
-	}
-	res.Final = x
-	res.SimTime = time.Since(start)
-	return res, nil
-}
-
 // SimulateIterative runs varied-step backward-Euler transient analysis with
 // PCG: steps advance to the next waveform breakpoint but never more than
 // MaxStep, and every solve is preconditioned by the factor built once

@@ -10,18 +10,20 @@ import (
 // ClusterRequest is one cluster's unit of work as Run hands it to
 // BuildCluster or a Dispatcher: the planned cluster (self-contained local
 // graph plus the local→global vertex map) and the fully resolved
-// per-cluster construction options (Workers pinned to 1, the
-// per-cluster seed already derived). Everything needed to reproduce the
-// cluster's sparsifier bit-for-bit travels in this struct.
+// per-cluster construction options (the cluster's share of the scoring
+// workers, the per-cluster seed already derived). Everything needed to
+// reproduce the cluster's sparsifier bit-for-bit travels in this struct;
+// the worker count is not part of that, since scores do not depend on it.
 type ClusterRequest struct {
 	// Index is the cluster's id in the plan (diagnostics only; it does
 	// not enter the result).
 	Index   int
 	Cluster *Cluster
 	// Opts is the per-cluster construction configuration. Run derives it
-	// from the pipeline options: Workers = 1 (parallelism lives at the
-	// cluster level), Seed = the per-cluster seed that is part of the
-	// fingerprint.
+	// from the pipeline options: Workers = max(1, total/built), where
+	// total is the pipeline's worker budget and built the number of dirty
+	// clusters (1 for ER, whose sketches round by worker count), and
+	// Seed = the per-cluster seed that is part of the fingerprint.
 	Opts sparsify.Options
 }
 
@@ -41,11 +43,11 @@ type ClusterResult struct {
 	Stats   sparsify.Stats
 }
 
-// Dispatcher wraps the build of each non-tiny, cache-missing cluster of a
-// non-ER build: Run hands it the request instead of calling BuildCluster
-// itself. Its job is instrumentation and testing. perfbench's layer
-// replay wraps BuildCluster in a span to time every cluster build, and
-// the shard tests reorder, fail or stall builds through it.
+// Dispatcher wraps the build of each non-tiny, cache-missing cluster:
+// Run hands it the request instead of calling BuildCluster itself. Its
+// job is instrumentation and testing. perfbench's layer replay wraps
+// BuildCluster in a span to time every cluster build, and the shard
+// tests reorder, fail, stall or record builds through it.
 // Implementations must be safe for concurrent use: Run dispatches from
 // its bounded worker pool.
 type Dispatcher interface {
@@ -54,9 +56,9 @@ type Dispatcher interface {
 
 // BuildCluster executes one cluster request in-process: run the
 // configured sparsification algorithm on the cluster's local graph and
-// return the surviving edges as global endpoint pairs. Run calls it for
-// every cluster it builds when no Dispatcher is set, and for every ER
-// cluster.
+// return the surviving edges as global endpoint pairs (and the ER
+// method's weight overrides). Run calls it for every cluster it builds
+// when no Dispatcher is set.
 func BuildCluster(ctx context.Context, req *ClusterRequest) (*ClusterResult, error) {
 	cl := req.Cluster
 	res, err := sparsify.SparsifyContext(ctx, cl.Local, req.Opts)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/shard"
 	"repro/internal/sparsify"
 )
@@ -136,5 +138,102 @@ func TestRunCancelMidBuild(t *testing.T) {
 			t.Fatalf("goroutine leak after canceled build: %d before, %d after", before, n)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// recordDispatcher builds every cluster in-process and records the
+// per-cluster scoring worker count Run handed it.
+type recordDispatcher struct {
+	mu      sync.Mutex
+	workers []int
+}
+
+func (r *recordDispatcher) Dispatch(ctx context.Context, req *shard.ClusterRequest) (*shard.ClusterResult, error) {
+	r.mu.Lock()
+	r.workers = append(r.workers, req.Opts.Workers)
+	r.mu.Unlock()
+	return shard.BuildCluster(ctx, req)
+}
+
+// TestClusterWorkersFollowBuiltClusters pins the per-cluster worker
+// rule max(1, total/built): a delta's one dirty cluster gets the whole
+// worker budget, a cold build with K ≥ total gets 1 per cluster, and ER
+// clusters always get 1. The delta's sparsifier is the same at every
+// budget.
+func TestClusterWorkersFollowBuiltClusters(t *testing.T) {
+	ctx := context.Background()
+	g := threeCommunities(14, 11)
+	run := func(o shard.Options) (*sparsify.Result, []int) {
+		t.Helper()
+		rd := &recordDispatcher{}
+		o.Dispatcher = rd
+		res, err := shard.Sparsify(ctx, g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Shards.Abandoned {
+			t.Fatal("plan abandoned; fixture needs retuning")
+		}
+		return res, rd.workers
+	}
+	allEqual := func(name string, got []int, want int) {
+		t.Helper()
+		if len(got) == 0 {
+			t.Fatalf("%s: no cluster went through the dispatcher", name)
+		}
+		for _, w := range got {
+			if w != want {
+				t.Fatalf("%s: per-cluster workers %v, want all %d", name, got, want)
+			}
+		}
+	}
+
+	// Cold builds: K = 3 clusters, all dirty.
+	cold := shard.Options{Shards: 3, Sparsify: sparsify.Options{Seed: 5, Workers: 2}}
+	base, ws := run(cold)
+	if base.Shards.Shards < cold.Sparsify.Workers {
+		t.Fatalf("K = %d, want ≥ %d", base.Shards.Shards, cold.Sparsify.Workers)
+	}
+	allEqual("cold, K ≥ total", ws, 1)
+	wide := cold
+	wide.Sparsify.Workers = 2 * base.Shards.Shards
+	_, ws = run(wide)
+	allEqual("cold, total = 2K", ws, 2)
+	er := wide
+	er.Sparsify.Method = sparsify.ER
+	_, ws = run(er)
+	allEqual("ER", ws, 1)
+
+	// A reweight confined to community 0 dirties one cluster.
+	var d graph.Delta
+	for _, ed := range g.Edges {
+		if ed.U < 14*14 && ed.V < 14*14 && len(d.Set) < 8 {
+			d.Set = append(d.Set, graph.Edge{U: ed.U, V: ed.V, W: ed.W * 1.5})
+		}
+	}
+	p, err := d.ApplyPatch(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deltas []*sparsify.Result
+	for _, total := range []int{1, 4} {
+		o := cold
+		o.Sparsify.Workers = total
+		o.BaseAssign = base.Shards.Assign
+		o.Localize = localizeFromBase(g, base, p)
+		rd := &recordDispatcher{}
+		o.Dispatcher = rd
+		res, err := shard.Sparsify(ctx, p.G, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Shards.DirtyClusters != 1 {
+			t.Fatalf("DirtyClusters = %d, want 1", res.Shards.DirtyClusters)
+		}
+		allEqual("one dirty cluster", rd.workers, total)
+		deltas = append(deltas, res)
+	}
+	if !slices.Equal(deltas[0].EdgeIdx, deltas[1].EdgeIdx) {
+		t.Fatal("delta sparsifier depends on the per-cluster worker count")
 	}
 }

@@ -119,13 +119,11 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 		return nil, fmt.Errorf("shard: empty plan")
 	}
 	o := opts.Sparsify
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	total := o.Workers
+	if total <= 0 {
+		total = runtime.GOMAXPROCS(0)
 	}
-	if workers > plan.K {
-		workers = plan.K
-	}
+	workers := min(total, plan.K)
 
 	buildStart := time.Now()
 	inSub := make([]bool, g.M())
@@ -165,10 +163,17 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 		}
 	}
 
-	// Each worker owns the clusters it pulls; the per-cluster option set
-	// pins Workers to 1 so parallelism lives at the cluster level only
-	// (nested scoring pools would oversubscribe and thrash scratch space).
+	// Each worker owns the clusters it pulls. The cores the pool leaves
+	// idle go to the clusters being built: each gets total/built scoring
+	// workers, so a delta's one dirty cluster scores on every core while
+	// a cold build with K ≥ cores keeps one per cluster. Scores do not
+	// depend on the worker count, so neither does the sparsifier.
 	// Non-tiny clusters go through the Dispatcher when one is configured.
+	built := dirtyCount
+	if loc == nil {
+		built = plan.K
+	}
+	perCluster := clusterWorkers(o.Method, total, built)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -217,13 +222,13 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 				}
 				start := time.Now()
 				co := o
-				co.Workers = 1
+				co.Workers = perCluster
 				// Decorrelate per-cluster randomness while keeping the
 				// whole build reproducible from the caller's seed.
 				co.Seed = seed
 				req := &ClusterRequest{Index: ci, Cluster: cl, Opts: co}
 				var cres *ClusterResult
-				if opts.Dispatcher != nil && !erMode {
+				if opts.Dispatcher != nil {
 					cres, errs[ci] = opts.Dispatcher.Dispatch(ctx, req)
 				} else {
 					cres, errs[ci] = BuildCluster(ctx, req)
@@ -320,6 +325,17 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 		res.Stats.Rounds = 1
 	}
 	return res, nil
+}
+
+// clusterWorkers is the scoring worker count each built cluster gets
+// when total workers serve built dirty clusters: max(1, total/built).
+// ER clusters stay at 1 because the resistance sketches round
+// differently under a different worker count.
+func clusterWorkers(m sparsify.Method, total, built int) int {
+	if m == sparsify.ER || built < 1 {
+		return 1
+	}
+	return max(1, total/built)
 }
 
 // cutFractionOf returns the plan's cut-edge share of the input edges.

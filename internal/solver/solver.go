@@ -211,25 +211,3 @@ func dot(a, b []float64) float64 {
 func norm2(a []float64) float64 {
 	return math.Sqrt(dot(a, a))
 }
-
-// Direct is the direct-solver facade: ordering + factorization + solves,
-// the stand-in for CHOLMOD in Tables 2 and 3.
-type Direct struct {
-	F *chol.Factor
-}
-
-// NewDirect factorizes a with an automatically chosen fill-reducing
-// ordering.
-func NewDirect(a *sparse.CSC) (*Direct, error) {
-	f, err := chol.New(a, chol.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return &Direct{F: f}, nil
-}
-
-// Solve returns x with A x = b.
-func (d *Direct) Solve(b []float64) []float64 { return d.F.Solve(b) }
-
-// MemBytes reports factor storage.
-func (d *Direct) MemBytes() int64 { return d.F.MemBytes() }

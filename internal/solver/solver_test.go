@@ -172,3 +172,25 @@ func TestJacobiHandlesZeroDiagonal(t *testing.T) {
 		t.Errorf("Jacobi apply = %v", z)
 	}
 }
+
+// Direct is a direct-solver facade over chol (ordering + factorization +
+// solves), the fixture TestDirectFacade drives.
+type Direct struct {
+	F *chol.Factor
+}
+
+// NewDirect factorizes a with an automatically chosen fill-reducing
+// ordering.
+func NewDirect(a *sparse.CSC) (*Direct, error) {
+	f, err := chol.New(a, chol.Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &Direct{F: f}, nil
+}
+
+// Solve returns x with A x = b.
+func (d *Direct) Solve(b []float64) []float64 { return d.F.Solve(b) }
+
+// MemBytes reports factor storage.
+func (d *Direct) MemBytes() int64 { return d.F.MemBytes() }

@@ -3,10 +3,14 @@ package sparsify
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
+	"repro/internal/chol"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/lap"
+	"repro/internal/spai"
 	"repro/internal/tree"
 )
 
@@ -147,11 +151,60 @@ func TestWorkersDoNotChangeScores(t *testing.T) {
 	cand := st.OffTreeEdges()
 	o1 := Options{Workers: 1}.withDefaults()
 	o8 := Options{Workers: 8}.withDefaults()
-	s1 := mustScore(scoreTreePhase(context.Background(), g, st, cand, o1))
-	s8 := mustScore(scoreTreePhase(context.Background(), g, st, cand, o8))
-	for i := range s1 {
-		if s1[i] != s8[i] {
-			t.Fatalf("score[%d] differs across worker counts: %g vs %g", i, s1[i], s8[i])
+	same := func(phase string, s1, s8 []float64) {
+		t.Helper()
+		for i := range s1 {
+			if s1[i] != s8[i] {
+				t.Fatalf("%s score[%d] differs across worker counts: %g vs %g", phase, i, s1[i], s8[i])
+			}
+		}
+	}
+	same("tree",
+		mustScore(scoreTreePhase(context.Background(), g, st, cand, o1)),
+		mustScore(scoreTreePhase(context.Background(), g, st, cand, o8)))
+
+	// General phase on a densified subgraph: the tree plus every third
+	// off-tree edge.
+	inSub := append([]bool(nil), st.InTree...)
+	for k, e := range cand {
+		if k%3 == 0 {
+			inSub[e] = true
+		}
+	}
+	f, err := chol.New(lap.Laplacian(subgraphView(g, inSub), lap.Shift(g, o1.ShiftRel)), chol.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := spai.Compute(f.L, o1.Delta)
+	gcand := offSubgraphEdges(g, inSub)
+	same("general",
+		mustScore(scoreGeneralPhase(context.Background(), g, inSub, f, z, gcand, o1)),
+		mustScore(scoreGeneralPhase(context.Background(), g, inSub, f, z, gcand, o8)))
+}
+
+// TestSparsifyWorkersBitIdentical: every method whose scores are
+// computed per candidate returns the same sparsifier at any worker count.
+func TestSparsifyWorkersBitIdentical(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"circuit64": gen.CircuitGrid(64, 64, 0.08, 1),
+		"tri60":     gen.Tri2D(60, 60, 2),
+	}
+	for name, g := range graphs {
+		for _, m := range []Method{TraceReduction, GRASS, FeGRASS} {
+			var want []int
+			for _, w := range []int{1, 2, 3} {
+				res, err := Sparsify(g, Options{Method: m, Seed: 1, Workers: w})
+				if err != nil {
+					t.Fatalf("%s/%v/workers=%d: %v", name, m, w, err)
+				}
+				if want == nil {
+					want = res.EdgeIdx
+					continue
+				}
+				if !slices.Equal(res.EdgeIdx, want) {
+					t.Fatalf("%s/%v: EdgeIdx at workers=%d differs from workers=1", name, m, w)
+				}
+			}
 		}
 	}
 }

@@ -12,20 +12,36 @@ import (
 // (eq. 20) of every candidate off-subgraph edge with respect to a general
 // subgraph S, using the sparse approximate inverse Z̃ ≈ L⁻¹ of S's Cholesky
 // factor: e_ijᵀ L_S⁻¹ e_pq ≈ (z̃_i − z̃_j)ᵀ (z̃_p − z̃_q) and
-// R_S(p,q) ≈ ‖z̃_p − z̃_q‖².
+// R_S(p,q) ≈ ‖z̃_p − z̃_q‖². It is one round of a fresh genPool.
 func scoreGeneralPhase(ctx context.Context, g *graph.Graph, inSub []bool, f *chol.Factor, z *spai.ApproxInv,
 	cand []int, o Options) ([]float64, error) {
 
-	scores := make([]float64, len(cand))
-	scratches := make([]*genScratch, o.Workers)
-	for w := range scratches {
-		scratches[w] = newGenScratch(g.N, g.M())
+	var p genPool
+	return p.score(ctx, g, inSub, f, z, cand, o)
+}
+
+// genPool is the general-phase scoring state one Algorithm 2 run reuses
+// across rounds 2..N_r on the same graph: the subgraph adjacency buffers
+// and one scratch per worker, allocated in the first round.
+type genPool struct {
+	sub     subAdj
+	scratch []*genScratch
+}
+
+// score is scoreGeneralPhase on the pool's buffers. Each candidate's
+// score depends only on its own edge, so the result is independent of
+// o.Workers and of what earlier rounds left in the scratch.
+func (p *genPool) score(ctx context.Context, g *graph.Graph, inSub []bool, f *chol.Factor, z *spai.ApproxInv,
+	cand []int, o Options) ([]float64, error) {
+
+	p.sub.build(g, inSub)
+	for len(p.scratch) < o.Workers {
+		p.scratch = append(p.scratch, newGenScratch(g.N, g.M()))
 	}
+	scores := make([]float64, len(cand))
 	err := parallelFor(ctx, len(cand), o.Workers, func(worker, i int) {
-		sc := scratches[worker]
-		e := cand[i]
-		ed := g.Edges[e]
-		scores[i] = sc.score(g, inSub, f, z, ed.U, ed.V, ed.W, o.Beta)
+		ed := g.Edges[cand[i]]
+		scores[i] = p.scratch[worker].score(g, &p.sub, f, z, ed.U, ed.V, ed.W, o.Beta)
 	})
 	if err != nil {
 		return nil, err
@@ -53,7 +69,7 @@ func newGenScratch(n, m int) *genScratch {
 	}
 }
 
-func (sc *genScratch) score(g *graph.Graph, inSub []bool, f *chol.Factor, z *spai.ApproxInv,
+func (sc *genScratch) score(g *graph.Graph, sub *subAdj, f *chol.Factor, z *spai.ApproxInv,
 	p, q int, w float64, beta int) float64 {
 
 	sc.cur++
@@ -64,8 +80,8 @@ func (sc *genScratch) score(g *graph.Graph, inSub []bool, f *chol.Factor, z *spa
 
 	// β-layer BFS in the current subgraph from both endpoints.
 	sc.nodesP = sc.nodesP[:0]
-	sc.bfs(g, inSub, p, beta, sc.stampP, &sc.nodesP)
-	sc.bfs(g, inSub, q, beta, sc.stampQ, nil)
+	sc.bfs(sub, p, beta, sc.stampP, &sc.nodesP)
+	sc.bfs(sub, q, beta, sc.stampQ, nil)
 
 	// Σ over graph edges between the two neighborhoods (eq. 20).
 	var sum float64
@@ -90,9 +106,9 @@ func (sc *genScratch) score(g *graph.Graph, inSub []bool, f *chol.Factor, z *spa
 	return w * sum / (1 + w*r)
 }
 
-// bfs explores the subgraph (edges with inSub set) from src for at most
-// beta layers, stamping visited vertices and optionally collecting them.
-func (sc *genScratch) bfs(g *graph.Graph, inSub []bool, src, beta int, stamp []int32, nodes *[]int32) {
+// bfs explores the subgraph from src for at most beta layers, stamping
+// visited vertices and optionally collecting them in visit order.
+func (sc *genScratch) bfs(sub *subAdj, src, beta int, stamp []int32, nodes *[]int32) {
 	cur := sc.cur
 	stamp[src] = cur
 	if nodes != nil {
@@ -101,21 +117,16 @@ func (sc *genScratch) bfs(g *graph.Graph, inSub []bool, src, beta int, stamp []i
 	sc.frontier = append(sc.frontier[:0], int32(src))
 	for layer := 0; layer < beta && len(sc.frontier) > 0; layer++ {
 		sc.next = sc.next[:0]
-		for _, u32 := range sc.frontier {
-			u := int(u32)
-			for ap := g.AdjStart[u]; ap < g.AdjStart[u+1]; ap++ {
-				if !inSub[g.AdjEdge[ap]] {
-					continue
-				}
-				v := g.AdjTarget[ap]
+		for _, u := range sc.frontier {
+			for _, v := range sub.neighbors(int(u)) {
 				if stamp[v] == cur {
 					continue
 				}
 				stamp[v] = cur
 				if nodes != nil {
-					*nodes = append(*nodes, int32(v))
+					*nodes = append(*nodes, v)
 				}
-				sc.next = append(sc.next, int32(v))
+				sc.next = append(sc.next, v)
 			}
 		}
 		sc.frontier, sc.next = sc.next, sc.frontier

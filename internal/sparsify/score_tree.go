@@ -12,12 +12,15 @@ import (
 // resistances come from one offline-LCA pass; per-edge voltages are
 // propagated by β-layer BFS over the tree using eqs. (13)–(14), which is
 // exact because the unit p→q current flows only along the unique tree path.
+// The BFS walks the tree's own adjacency (a subAdj in g's order).
 func scoreTreePhase(ctx context.Context, g *graph.Graph, st *tree.Tree, cand []int, o Options) ([]float64, error) {
 	pairs := make([][2]int, len(cand))
 	for i, e := range cand {
 		pairs[i] = [2]int{g.Edges[e].U, g.Edges[e].V}
 	}
 	lcas := st.LCAs(pairs)
+	var treeAdj subAdj
+	treeAdj.build(g, st.InTree)
 
 	scores := make([]float64, len(cand))
 	scratches := make([]*treeScratch, o.Workers)
@@ -30,7 +33,7 @@ func scoreTreePhase(ctx context.Context, g *graph.Graph, st *tree.Tree, cand []i
 		ed := g.Edges[e]
 		l := lcas[i]
 		r := st.Resistance(ed.U, ed.V, l)
-		sum := sc.truncatedSum(g, st, ed.U, ed.V, l, o.Beta)
+		sum := sc.truncatedSum(g, st, &treeAdj, ed.U, ed.V, l, o.Beta)
 		scores[i] = ed.W * sum / (1 + ed.W*r)
 	})
 	if err != nil {
@@ -66,7 +69,7 @@ func newTreeScratch(n, m int) *treeScratch {
 
 // truncatedSum evaluates the Σ w_ij (v(i) − v(j))² part of eq. (15) for one
 // off-tree edge (p, q) with LCA l.
-func (sc *treeScratch) truncatedSum(g *graph.Graph, st *tree.Tree, p, q, l, beta int) float64 {
+func (sc *treeScratch) truncatedSum(g *graph.Graph, st *tree.Tree, treeAdj *subAdj, p, q, l, beta int) float64 {
 	sc.cur++
 	cur := sc.cur
 
@@ -117,9 +120,9 @@ func (sc *treeScratch) truncatedSum(g *graph.Graph, st *tree.Tree, p, q, l, beta
 
 	// β-layer BFS from p with decreasing voltages (eq. 13): v(p) = R_T(p,q).
 	sc.nodesP = sc.nodesP[:0]
-	sc.bfsVoltages(g, st, p, beta, r, -1, sc.stampP, sc.vP, sc.pathStampP, sc.pathNextP, sc.pathResP, &sc.nodesP)
+	sc.bfsVoltages(treeAdj, p, beta, r, -1, sc.stampP, sc.vP, sc.pathStampP, sc.pathNextP, sc.pathResP, &sc.nodesP)
 	// β-layer BFS from q with increasing voltages (eq. 14): v(q) = 0.
-	sc.bfsVoltages(g, st, q, beta, 0, +1, sc.stampQ, sc.vQ, sc.pathStampQ, sc.pathNextQ, sc.pathResQ, nil)
+	sc.bfsVoltages(treeAdj, q, beta, 0, +1, sc.stampQ, sc.vQ, sc.pathStampQ, sc.pathNextQ, sc.pathResQ, nil)
 
 	// Σ over graph edges between the two neighborhoods.
 	var sum float64
@@ -146,7 +149,7 @@ func (sc *treeScratch) truncatedSum(g *graph.Graph, st *tree.Tree, p, q, l, beta
 // bfsVoltages explores the tree from src for at most beta layers, assigning
 // voltages: crossing a recorded path edge adds sign·(edge resistance),
 // any other tree edge copies the predecessor's voltage.
-func (sc *treeScratch) bfsVoltages(g *graph.Graph, st *tree.Tree, src, beta int,
+func (sc *treeScratch) bfsVoltages(treeAdj *subAdj, src, beta int,
 	v0 float64, sign float64, stamp []int32, volt []float64,
 	pathStamp, pathNext []int32, pathRes []float64, nodes *[]int32) {
 
@@ -159,29 +162,23 @@ func (sc *treeScratch) bfsVoltages(g *graph.Graph, st *tree.Tree, src, beta int,
 	sc.frontier = append(sc.frontier[:0], int32(src))
 	for layer := 0; layer < beta && len(sc.frontier) > 0; layer++ {
 		sc.next = sc.next[:0]
-		for _, u32 := range sc.frontier {
-			u := int(u32)
+		for _, u := range sc.frontier {
 			vu := volt[u]
 			onPath := pathStamp[u] == cur
-			for ap := g.AdjStart[u]; ap < g.AdjStart[u+1]; ap++ {
-				e := g.AdjEdge[ap]
-				if !st.InTree[e] {
-					continue
-				}
-				i := g.AdjTarget[ap]
+			for _, i := range treeAdj.neighbors(int(u)) {
 				if stamp[i] == cur {
 					continue
 				}
 				stamp[i] = cur
-				if onPath && pathNext[u] == int32(i) {
+				if onPath && pathNext[u] == i {
 					volt[i] = vu + sign*pathRes[u]
 				} else {
 					volt[i] = vu
 				}
 				if nodes != nil {
-					*nodes = append(*nodes, int32(i))
+					*nodes = append(*nodes, i)
 				}
-				sc.next = append(sc.next, int32(i))
+				sc.next = append(sc.next, i)
 			}
 		}
 		sc.frontier, sc.next = sc.next, sc.frontier

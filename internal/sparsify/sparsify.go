@@ -331,6 +331,7 @@ func runTraceReduction(ctx context.Context, g *graph.Graph, st *tree.Tree, res *
 	res.Stats.Rounds = 1
 
 	// Rounds 2..N_r: general subgraph via Cholesky + SPAI (eq. 20).
+	var pool genPool
 	for iter := 2; iter <= o.Rounds && res.Stats.EdgesAdded < budget; iter++ {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("sparsify: round %d: %w", iter, err)
@@ -352,7 +353,7 @@ func runTraceReduction(ctx context.Context, g *graph.Graph, st *tree.Tree, res *
 
 		t0 = time.Now()
 		cand = offSubgraphEdges(g, res.InSub)
-		scores, err = scoreGeneralPhase(ctx, g, res.InSub, f, z, cand, o)
+		scores, err = pool.score(ctx, g, res.InSub, f, z, cand, o)
 		if err != nil {
 			return fmt.Errorf("sparsify: round %d: %w", iter, err)
 		}
