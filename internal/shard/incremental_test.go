@@ -28,7 +28,7 @@ func TestClusterKeyStability(t *testing.T) {
 	shuffled := append([]graph.Edge(nil), g.Edges...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	g2 := graph.MustNew(g.N, shuffled)
-	plan2, err := shard.PlanFromAssign(g2, plan.Assign)
+	plan2, err := shard.PlanFromAssign(g2, plan.Assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestClusterKeyStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan3, err := shard.PlanFromAssign(g3, plan.Assign)
+	plan3, err := shard.PlanFromAssign(g3, plan.Assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPlanFromAssignIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := shard.PlanFromAssign(g, plan.Assign)
+	again, err := shard.PlanFromAssign(g, plan.Assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,48 +12,39 @@ import (
 
 // Localize carries a base build's state into a delta rebuild so Run
 // can restrict work to the dirty neighborhood: clusters holding a
-// touched vertex are dirty, clean-clean cut edges adopt the base build's
-// stitch decision verbatim, and only cut edges incident to dirty
-// clusters are re-decided, with the recovery round confined to the dirty
-// region (sparsify.RecoverOffSubgraphRegion). Without it every cluster
-// is dirty and the stitch decides every cut edge.
+// touched vertex are dirty, clean clusters and clean-clean cut edges
+// adopt the base build's decisions verbatim, and only cut edges incident
+// to dirty clusters are re-decided, with the recovery round confined to
+// the dirty region (sparsify.RecoverOffSubgraphRegion). Without it every
+// cluster is dirty and the stitch decides every cut edge.
 type Localize struct {
 	// DirtyVertices lists every vertex incident to a delta-modified edge
 	// (graph.Patch.Touched). A cluster containing one is dirty; all
-	// others are clean and their base state is adopted.
+	// others are clean and their base state is adopted. Nil marks every
+	// cluster dirty.
 	DirtyVertices []int
-	// BaseSub reports whether the undirected edge (u, v) was in the base
-	// sparsifier — the stitch decision to adopt on clean-clean cut
-	// edges. Must be non-nil; membership by endpoints keeps the contract
-	// valid across cluster-id shifts (a structural delta can split dirty
-	// clusters, renumbering everything after them).
-	BaseSub func(u, v int) bool
-
-	// IndexAligned, set by the caller only for non-structural
-	// (reweight-only) deltas, promises that BaseEdgeIdx holds valid
-	// indices into the NEW graph identifying the base sparsifier's
-	// edges (the core path resolves the base edges by endpoints once,
-	// so the promise is robust to edge-order differences between the
-	// graph the base was built from and the patched graph) and that
-	// BaseKeys (the base ClusterKeys, aligned with cluster ids, which a
-	// non-structural delta provably preserves) are current. Then clean
-	// clusters adopt their sparsifier edges by index — no fingerprint
-	// hashing, no cache lookup, no per-edge EdgeBetween resolution in
-	// the worker loop.
-	IndexAligned bool
-	BaseEdgeIdx  []int
-	BaseKeys     []string
+	// BaseSub is the base build's sparsifier subgraph, over the same
+	// vertex set. Its edges are the decisions clean clusters and
+	// clean-clean cut edges adopt, resolved by endpoints in the new graph
+	// (edge indices shift under a structural delta; endpoints do not).
+	// Nil leaves nothing to adopt, as if Localize were unset.
+	BaseSub *graph.Graph
+	// BaseKeys are the base build's cluster fingerprints
+	// (ShardStats.ClusterKeys), indexed by base cluster id. A clean
+	// cluster keeps its base key; a dirty cluster whose fingerprint
+	// still equals its base key (only cut edges were edited) adopts the
+	// base edges too.
+	BaseKeys []string
 }
 
-// dirtyClusters maps DirtyVertices through the plan's assignment.
-func (loc *Localize) dirtyClusters(plan *Plan) []bool {
-	dirty := make([]bool, plan.K)
-	for _, v := range loc.DirtyVertices {
-		if v >= 0 && v < len(plan.Assign) {
-			dirty[plan.Assign[v]] = true
-		}
+// localize returns the base state a delta rebuild adopts, or nil when
+// there is none: no Localize, no base sparsifier, or an ER build (its
+// importance reweights are not adoptable by membership alone).
+func (o Options) localize() *Localize {
+	if o.Localize == nil || o.Localize.BaseSub == nil || o.Sparsify.Method == sparsify.ER {
+		return nil
 	}
-	return dirty
+	return o.Localize
 }
 
 // sortCutByWeight orders cut-edge indices by descending weight with the
@@ -72,7 +63,7 @@ func sortCutByWeight(g *graph.Graph, cut []int) {
 	})
 }
 
-// stitch decides the cut edges against the dirty cluster set:
+// stitch decides the cut edges against the plan's dirty cluster mask:
 //
 //  1. clean-clean cut edges (neither endpoint cluster dirty) adopt the
 //     base build's decision verbatim — the delta cannot have touched
@@ -96,7 +87,8 @@ func sortCutByWeight(g *graph.Graph, cut []int) {
 // the connectivity sweep admits, which the caller must treat as an
 // escape from the dirty region (a pencil patch restricted to
 // dirty-incident edges would miss them).
-func stitch(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bool, dirty []bool, loc *Localize, o sparsify.Options) (retained, recovered, adopted, repaired int, err error) {
+func stitch(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bool, loc *Localize, o sparsify.Options) (retained, recovered, adopted, repaired int, err error) {
+	dirty := plan.Dirty
 	// Two union-find structures with different jobs. forest is a
 	// vertex-level forest built from cut edges only — deliberately denser
 	// than a forest over the cluster quotient: a long seam keeps roughly
@@ -122,7 +114,7 @@ func stitch(ctx context.Context, g *graph.Graph, plan *Plan, inSub []bool, dirty
 			dirtyCut = append(dirtyCut, e)
 			continue
 		}
-		if loc.BaseSub(ed.U, ed.V) {
+		if _, ok := loc.BaseSub.EdgeBetween(ed.U, ed.V); ok {
 			inSub[e] = true
 			forest.Union(ed.U, ed.V)
 			conn.Union(ed.U, ed.V)

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,40 +10,23 @@ import (
 	"repro/internal/sparsify"
 )
 
-// baseSubFunc builds the endpoint-membership oracle a Localize carries:
+// baseSubFunc is the endpoint-membership oracle of the base build:
 // whether the undirected edge (u, v) was in the base sparsifier.
-func baseSubFunc(g *graph.Graph, res *sparsify.Result) func(u, v int) bool {
-	in := make(map[[2]int]bool, len(res.EdgeIdx))
-	for _, ei := range res.EdgeIdx {
-		ed := g.Edges[ei]
-		u, v := ed.U, ed.V
-		if u > v {
-			u, v = v, u
-		}
-		in[[2]int{u, v}] = true
-	}
+func baseSubFunc(res *sparsify.Result) func(u, v int) bool {
 	return func(u, v int) bool {
-		if u > v {
-			u, v = v, u
-		}
-		return in[[2]int{u, v}]
+		_, ok := res.Sparsifier.EdgeBetween(u, v)
+		return ok
 	}
 }
 
 // localizeFromBase assembles the Localize handoff exactly the way the
-// core fast path does: endpoint membership always, index adoption only
-// for non-structural patches.
-func localizeFromBase(g *graph.Graph, res *sparsify.Result, p *graph.Patch) *shard.Localize {
-	loc := &shard.Localize{
+// core update path does, for every delta kind.
+func localizeFromBase(res *sparsify.Result, p *graph.Patch) *shard.Localize {
+	return &shard.Localize{
 		DirtyVertices: p.Touched,
-		BaseSub:       baseSubFunc(g, res),
+		BaseSub:       res.Sparsifier,
+		BaseKeys:      res.Shards.ClusterKeys,
 	}
-	if !p.Structural() {
-		loc.IndexAligned = true
-		loc.BaseEdgeIdx = res.EdgeIdx
-		loc.BaseKeys = res.Shards.ClusterKeys
-	}
-	return loc
 }
 
 // cleanCutCompat checks the acceptance contract: every cut edge of the
@@ -100,7 +84,7 @@ func TestLocalizedStitchReweightBitCompat(t *testing.T) {
 		t.Fatal("reweight-only delta came back structural")
 	}
 
-	loc := localizeFromBase(g, base, p)
+	loc := localizeFromBase(base, p)
 	iopts := opts
 	iopts.Localize = loc
 	iopts.BaseAssign = base.Shards.Assign
@@ -115,12 +99,12 @@ func TestLocalizedStitchReweightBitCompat(t *testing.T) {
 	if st.DirtyClusters < 1 || st.DirtyClusters >= st.Shards {
 		t.Fatalf("DirtyClusters = %d with %d shards; delta is confined to one community", st.DirtyClusters, st.Shards)
 	}
-	// Every clean cluster must be adopted by index (Reused without a
-	// cache configured proves the index path ran).
+	// Every clean cluster must adopt its base edges (Reused without a
+	// cache configured proves the adoption path ran).
 	if want := st.Shards - st.DirtyClusters; st.ClustersReused != want {
-		t.Fatalf("ClustersReused = %d, want %d (clean clusters adopted by index)", st.ClustersReused, want)
+		t.Fatalf("ClustersReused = %d, want %d (clean clusters adopt their base edges)", st.ClustersReused, want)
 	}
-	if checked := cleanCutCompat(t, p.G, res, loc.BaseSub, p.Touched); checked == 0 {
+	if checked := cleanCutCompat(t, p.G, res, baseSubFunc(base), p.Touched); checked == 0 {
 		t.Fatal("no clean-clean cut edges checked; fixture needs retuning")
 	}
 	if st.CutAdopted == 0 {
@@ -129,8 +113,8 @@ func TestLocalizedStitchReweightBitCompat(t *testing.T) {
 	if !res.Sparsifier.Connected() {
 		t.Fatal("localized sparsifier is disconnected")
 	}
-	// Index adoption means every clean cluster's intra-cluster sparsifier
-	// edges match the base exactly — not just the cut seams.
+	// Adoption means every clean cluster's intra-cluster sparsifier edges
+	// match the base exactly — not just the cut seams.
 	dirty := make([]bool, st.Shards)
 	for _, v := range p.Touched {
 		dirty[st.Assign[v]] = true
@@ -177,10 +161,7 @@ func TestLocalizedStitchStructuralDelta(t *testing.T) {
 		t.Fatal("remove+add delta came back non-structural")
 	}
 
-	loc := localizeFromBase(g, base, p)
-	if loc.IndexAligned {
-		t.Fatal("structural delta must not promise index alignment")
-	}
+	loc := localizeFromBase(base, p)
 	iopts := opts
 	iopts.Localize = loc
 	iopts.BaseAssign = base.Shards.Assign
@@ -192,7 +173,7 @@ func TestLocalizedStitchStructuralDelta(t *testing.T) {
 	if !st.Incremental || !st.StitchLocalized {
 		t.Fatalf("Incremental=%v StitchLocalized=%v, want both true", st.Incremental, st.StitchLocalized)
 	}
-	if checked := cleanCutCompat(t, p.G, res, loc.BaseSub, p.Touched); checked == 0 {
+	if checked := cleanCutCompat(t, p.G, res, baseSubFunc(base), p.Touched); checked == 0 {
 		t.Fatal("no clean-clean cut edges checked; fixture needs retuning")
 	}
 	if !res.Sparsifier.Connected() {
@@ -228,7 +209,7 @@ func TestLocalizedStitchCutEdgeRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc := localizeFromBase(g, base, p)
+	loc := localizeFromBase(base, p)
 	iopts := opts
 	iopts.Localize = loc
 	iopts.BaseAssign = assign
@@ -270,7 +251,7 @@ func TestLocalizedStitchCutEdgeReweight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loc := localizeFromBase(g, base, p)
+	loc := localizeFromBase(base, p)
 	iopts := opts
 	iopts.Localize = loc
 	iopts.BaseAssign = assign
@@ -283,7 +264,7 @@ func TestLocalizedStitchCutEdgeReweight(t *testing.T) {
 		t.Fatal("stitch did not run localized")
 	}
 	// Both endpoint clusters are dirty; with 3 shards at most one is clean,
-	// so index adoption (still legal: delta is non-structural) covers it.
+	// and it adopts its base edges.
 	if st.DirtyClusters < 2 {
 		t.Fatalf("DirtyClusters = %d, want ≥ 2 (cut edge dirties both sides)", st.DirtyClusters)
 	}
@@ -297,11 +278,12 @@ func TestLocalizedStitchCutEdgeReweight(t *testing.T) {
 	}
 }
 
-// TestPlanFromAssignReweightLazy: the lazy reweight-only plan agrees
-// with the full PlanFromAssign on everything it materializes — same
-// cluster count, vertex lists, edge counts, and cut-edge set — while
-// extracting local subgraphs only for dirty clusters.
-func TestPlanFromAssignReweightLazy(t *testing.T) {
+// TestPlanFromAssignLazy: a plan with a dirty subset agrees with the
+// every-cluster-dirty plan (nil dirty vertices) on everything it
+// materializes — same cluster count, vertex lists, edge counts, and
+// cut-edge set — while extracting local subgraphs only for dirty
+// clusters.
+func TestPlanFromAssignLazy(t *testing.T) {
 	g := threeCommunities(14, 11)
 	ctx := context.Background()
 	base, err := shard.Sparsify(ctx, g, shard.Options{Shards: 3, Sparsify: sparsify.Options{Seed: 5}})
@@ -311,43 +293,44 @@ func TestPlanFromAssignReweightLazy(t *testing.T) {
 	assign := base.Shards.Assign
 	dirtyVerts := []int{0, 1, 2}
 
-	full, err := shard.PlanFromAssign(g, assign)
+	full, err := shard.PlanFromAssign(g, assign, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := shard.PlanFromAssignReweight(g, assign, dirtyVerts)
+	lazy, err := shard.PlanFromAssign(g, assign, dirtyVerts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lazy.K != full.K {
 		t.Fatalf("lazy K = %d, full K = %d", lazy.K, full.K)
 	}
-	if len(lazy.CutEdges) != len(full.CutEdges) {
-		t.Fatalf("lazy cut %d edges, full cut %d", len(lazy.CutEdges), len(full.CutEdges))
-	}
-	for i := range full.CutEdges {
-		if lazy.CutEdges[i] != full.CutEdges[i] {
-			t.Fatalf("cut edge %d: lazy %d, full %d", i, lazy.CutEdges[i], full.CutEdges[i])
-		}
-	}
-	dirty := make([]bool, lazy.K)
-	for _, v := range dirtyVerts {
-		dirty[assign[v]] = true
+	if !slices.Equal(lazy.CutEdges, full.CutEdges) {
+		t.Fatalf("lazy cut %v, full cut %v", lazy.CutEdges, full.CutEdges)
 	}
 	sawClean := false
 	for ci := range full.Clusters {
 		fc, lc := &full.Clusters[ci], &lazy.Clusters[ci]
-		if len(lc.Vertices) != len(fc.Vertices) {
-			t.Fatalf("cluster %d: lazy %d vertices, full %d", ci, len(lc.Vertices), len(fc.Vertices))
+		if !full.Dirty[ci] || fc.Local == nil {
+			t.Fatalf("cluster %d of the nil-dirty plan is not dirty and materialized", ci)
+		}
+		if !slices.Equal(lc.Vertices, fc.Vertices) {
+			t.Fatalf("cluster %d: lazy vertices differ from full", ci)
 		}
 		if lc.LocalEdges() != fc.Local.M() {
 			t.Fatalf("cluster %d: lazy %d edges, full %d", ci, lc.LocalEdges(), fc.Local.M())
 		}
-		if dirty[ci] {
+		want := false
+		for _, v := range dirtyVerts {
+			want = want || assign[v] == ci
+		}
+		if lazy.Dirty[ci] != want {
+			t.Fatalf("cluster %d: lazy Dirty = %v, want %v", ci, lazy.Dirty[ci], want)
+		}
+		if lazy.Dirty[ci] {
 			if lc.Local == nil {
 				t.Fatalf("dirty cluster %d not materialized", ci)
 			}
-			if lc.Local.M() != fc.Local.M() || lc.Local.N != fc.Local.N {
+			if lc.Local.M() != fc.Local.M() || lc.Local.N != fc.Local.N || !slices.Equal(lc.GlobalEdge, fc.GlobalEdge) {
 				t.Fatalf("dirty cluster %d: lazy %d/%d, full %d/%d",
 					ci, lc.Local.N, lc.Local.M(), fc.Local.N, fc.Local.M())
 			}
@@ -360,5 +343,47 @@ func TestPlanFromAssignReweightLazy(t *testing.T) {
 	}
 	if !sawClean {
 		t.Fatal("no clean clusters; fixture needs retuning")
+	}
+}
+
+// TestCleanClusterNeedsBase: a clean cluster has no local graph to build,
+// so Run must refuse a plan with one when there is no base build to adopt
+// from, and must fail — not stitch a hole — when the dirty vertices miss
+// an edit inside a cluster.
+func TestCleanClusterNeedsBase(t *testing.T) {
+	g := threeCommunities(14, 11)
+	ctx := context.Background()
+	opts := shard.Options{Shards: 3, Sparsify: sparsify.Options{Seed: 5}}
+	base, err := shard.Sparsify(ctx, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := base.Shards.Assign
+	plan, err := shard.PlanFromAssign(g, assign, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.Run(ctx, g, plan, opts); err == nil {
+		t.Fatal("Run built a plan with clean clusters and no Localize")
+	}
+
+	rm := -1
+	for _, ei := range base.EdgeIdx {
+		if ed := g.Edges[ei]; assign[ed.U] == assign[ed.V] {
+			rm = ei
+			break
+		}
+	}
+	p, err := graph.Delta{Remove: [][2]int{{g.Edges[rm].U, g.Edges[rm].V}}}.ApplyPatch(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc := localizeFromBase(base, p)
+	loc.DirtyVertices = []int{}
+	iopts := opts
+	iopts.Localize = loc
+	iopts.BaseAssign = assign
+	if _, err := shard.Sparsify(ctx, p.G, iopts); err == nil {
+		t.Fatal("Sparsify adopted a base edge the graph no longer has")
 	}
 }

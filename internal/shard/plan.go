@@ -65,41 +65,36 @@ type Options struct {
 	// (the stitch would cost more than the parallelism saves). 0 selects
 	// DefaultMaxCutFraction; negative disables the guard.
 	MaxCutFraction float64
-	// RebalanceFactor is the retained plan's balance guard: a delta that
-	// grows any retained cluster past RebalanceFactor × (M/K) local edges
-	// forces a fresh plan instead of reusing the stale one (the whole
-	// point of sharding is bounded per-cluster work). 0 selects
-	// DefaultRebalanceFactor; negative disables the guard.
-	RebalanceFactor float64
 	// BaseAssign, when non-nil, is a retained per-vertex cluster
 	// assignment (a base build's ShardStats.Assign): Sparsify rebuilds
-	// the plan from it instead of replanning, so clusters a delta did not
-	// touch keep their ids, seeds and fingerprints, and the result
+	// the plan from it instead of replanning (PlanFromAssign), so
+	// clusters keep their ids, seeds and fingerprints, and the result
 	// reports Incremental. The rebalance guard may still replan.
 	BaseAssign []int
 	// BaseClusterEdges, set alongside BaseAssign, is each retained
 	// cluster's local edge count at base-build time (aligned with cluster
 	// ids). The rebalance guard compares growth against it — the M/K fair
-	// share alone is unreachable when K ≤ RebalanceFactor, since no
-	// cluster can exceed K× the average.
+	// share alone is unreachable when K ≤ DefaultRebalanceFactor, since
+	// no cluster can exceed K× the average.
 	BaseClusterEdges []int
-	// Cache, when non-nil, is consulted before each cluster is sparsified
-	// and populated afterward: a cluster whose fingerprint (ClusterKey)
-	// hits adopts the cached sparsifier edges verbatim instead of
-	// re-running Algorithm 2. This is what makes delta rebuilds cheap —
-	// only dirty clusters miss.
+	// Cache, when non-nil, is consulted before each dirty cluster is
+	// sparsified and populated afterward: a cluster whose fingerprint
+	// (ClusterKey) hits adopts the cached sparsifier edges verbatim
+	// instead of re-running Algorithm 2. Clean clusters of a delta
+	// rebuild never reach it; they adopt the base build's edges.
 	Cache ClusterCache
 	// Dispatcher, when non-nil, executes each non-tiny, cache-missing
 	// cluster build in place of BuildCluster, so a caller can time or
 	// intercept it (see Dispatcher). Nil calls BuildCluster directly.
 	Dispatcher Dispatcher
 	// Localize, set for delta rebuilds, carries the base build's state:
-	// it marks the clusters a delta touched dirty, so the stitch adopts
-	// clean-region decisions verbatim and confines the forest sweep and
-	// recovery round to cut edges near dirty clusters. Nil marks every
-	// cluster dirty (a cold build). Ignored by ER builds (their
-	// importance reweights are not adoptable by membership alone) and
-	// dropped by the rebalance guard when it abandons the retained plan.
+	// it marks the clusters a delta touched dirty, so clean clusters and
+	// the stitch adopt the base decisions verbatim and the forest sweep
+	// and recovery round are confined to cut edges near dirty clusters.
+	// Nil marks every cluster dirty (a cold build). Ignored by ER builds
+	// (their importance reweights are not adoptable by membership alone)
+	// and dropped by the rebalance guard when it abandons the retained
+	// plan.
 	Localize *Localize
 	// Sparsify configures the per-cluster construction and the global
 	// recovery round (zero value = the paper's parameters). Workers also
@@ -163,10 +158,10 @@ func (o Options) resolveShards(n, workers int) int {
 
 // Cluster is one planned partition cell: its global vertex set and the
 // induced local subgraph (local vertex i is global Vertices[i]; local
-// edge j is global edge GlobalEdge[j]). On a lazily materialized plan
-// (PlanFromAssignReweight) clean clusters carry only the vertex list
-// and the edge count — Local and GlobalEdge stay nil, since the
-// index-adoption path never reads them.
+// edge j is global edge GlobalEdge[j]). A clean cluster of a retained
+// plan (PlanFromAssign) carries only the vertex list and the edge count
+// — Local and GlobalEdge stay nil, since it adopts the base build's
+// edges and nothing reads its local graph.
 type Cluster struct {
 	Vertices   []int
 	Local      *graph.Graph
@@ -200,13 +195,10 @@ type Plan struct {
 	// instead of the Fiedler split.
 	FallbackSplits int
 	PlanTime       time.Duration
-
-	// adopt, set by retainedPlan for a reweight-only delta, lists per
-	// clean cluster the base sparsifier edge indices Run adopts verbatim
-	// (nil entries for dirty clusters); baseKeys are the base cluster
-	// fingerprints the adopted clusters keep. Nil on every other plan.
-	adopt    [][]int
-	baseKeys []string
+	// Dirty marks, per cluster, the clusters Run builds (or fetches by
+	// fingerprint); the others adopt the base build's result
+	// (Options.Localize). NewPlan marks every cluster dirty.
+	Dirty []bool
 }
 
 // NewPlan partitions g into (about) k balanced, connected clusters by
@@ -242,7 +234,7 @@ func NewPlan(ctx context.Context, g *graph.Graph, opts Options) (*Plan, error) {
 		return nil, err
 	}
 	p.FallbackSplits = int(pl.fallbacks.Load())
-	if err := p.componentize(g, true); err != nil {
+	if err := p.componentize(g); err != nil {
 		return nil, err
 	}
 	p.PlanTime = time.Since(start)
@@ -490,17 +482,14 @@ func argsort(vals []float64) []int {
 }
 
 // componentize replaces every planned cluster by its connected
-// components, optionally merges small fragments back into their
-// strongest neighboring cluster, and rebuilds Assign, Clusters, and
-// CutEdges. Per-cluster sparsification requires connected inputs; a
-// spectral (or BFS) median cut does not guarantee that, and without the
-// repair pass a noisy ordering splinters the plan into far more clusters
-// than planned (tiny fragments inflate the cut and starve the
-// per-cluster economics). PlanFromAssign passes repair=false: its input
-// was already repaired once, and re-running the merge under a different
-// Planned-derived threshold would reshuffle cluster ids — and with them
-// every per-cluster seed and fingerprint — on an unchanged assignment.
-func (p *Plan) componentize(g *graph.Graph, repair bool) error {
+// components, merges small fragments back into their strongest
+// neighboring cluster, and rebuilds Assign, Clusters, CutEdges and an
+// all-dirty mask. Per-cluster sparsification requires connected inputs;
+// a spectral (or BFS) median cut does not guarantee that, and without
+// the repair pass a noisy ordering splinters the plan into far more
+// clusters than planned (tiny fragments inflate the cut and starve the
+// per-cluster economics).
+func (p *Plan) componentize(g *graph.Graph) error {
 	if p.Planned < 1 {
 		return fmt.Errorf("shard: empty plan")
 	}
@@ -533,10 +522,7 @@ func (p *Plan) componentize(g *graph.Graph, repair bool) error {
 		final = base + maxC + 1
 	}
 
-	if repair {
-		final = p.repairFragments(g, final)
-	}
-	p.K = final
+	p.K = p.repairFragments(g, final)
 
 	// Rebuild cluster vertex lists under the final assignment, then the
 	// induced local graphs and the cut-edge set.
@@ -545,9 +531,11 @@ func (p *Plan) componentize(g *graph.Graph, repair bool) error {
 		vertsOf[id] = append(vertsOf[id], v)
 	}
 	p.Clusters = make([]Cluster, p.K)
+	p.Dirty = make([]bool, p.K)
 	for i, verts := range vertsOf {
 		local, globalEdge := pl.induced(verts)
 		p.Clusters[i] = Cluster{Vertices: verts, Local: local, GlobalEdge: globalEdge}
+		p.Dirty[i] = true
 	}
 	p.CutEdges = p.CutEdges[:0]
 	for e, ed := range g.Edges {

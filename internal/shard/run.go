@@ -28,12 +28,13 @@ const DefaultMaxCutFraction = 0.5
 // then Run:
 //
 //   - with Options.BaseAssign set, the plan is rebuilt from that retained
-//     assignment, so clusters a delta did not touch keep their
-//     fingerprints and hit Options.Cache, and the result reports
-//     Incremental. A delta that grew any retained cluster past
-//     RebalanceFactor × (M/K) local edges (or past that multiple of its
-//     own base-build size) abandons the stale plan for a fresh one:
-//     bounded per-cluster work is the point of sharding;
+//     assignment (PlanFromAssign, dirty clusters from Options.Localize),
+//     so clean clusters keep their ids and adopt the base build's edges,
+//     and the result reports Incremental. A delta that grew any retained
+//     cluster past DefaultRebalanceFactor × (M/K) local edges (or past
+//     that multiple of its own base-build size) abandons the stale plan
+//     for a fresh one: bounded per-cluster work is the point of
+//     sharding;
 //   - without it, NewPlan partitions the graph.
 //
 // The expander guard: on graphs with no good cuts (random geometric at
@@ -49,13 +50,17 @@ func Sparsify(ctx context.Context, g *graph.Graph, opts Options) (*sparsify.Resu
 	var err error
 	reused := opts.BaseAssign != nil
 	if reused {
-		plan, err = retainedPlan(g, opts)
+		var dirtyVertices []int // nil: every cluster dirty
+		if loc := opts.localize(); loc != nil {
+			dirtyVertices = loc.DirtyVertices
+		}
+		plan, err = PlanFromAssign(g, opts.BaseAssign, dirtyVertices)
 		if err == nil && outgrown(g, plan, opts) {
 			// Fresh plan, full build: deliberately NOT marked Incremental
 			// — callers and operators read that flag as "a prior plan was
 			// reused", and a rebalance replan pays cold-build cost. The
-			// base stitch decisions belong to the abandoned plan; a fresh
-			// plan's cut set has none to adopt.
+			// base decisions belong to the abandoned plan; a fresh plan
+			// has none to adopt.
 			opts.BaseAssign, opts.Localize = nil, nil
 			reused = false
 			plan, err = NewPlan(ctx, g, opts)
@@ -108,15 +113,16 @@ func Sparsify(ctx context.Context, g *graph.Graph, opts Options) (*sparsify.Resu
 //     truncated trace-reduction metric (eq. 20) against the stitched
 //     subgraph in one recovery round, and the best are re-admitted.
 //
-// The dirty set is the only thing that distinguishes a cold build from
-// a delta rebuild. Options.Localize carries a base build's decisions and
-// marks the clusters holding a touched vertex dirty; without it (a cold
-// build, or a plan-reuse rebuild with no delta) every cluster is dirty,
-// so every cluster is built or fetched from the cache and the stitch
-// decides every cut edge.
+// The plan's dirty mask (Plan.Dirty) is the only thing that distinguishes
+// a cold build from a delta rebuild. A clean cluster adopts the base
+// build's intra-cluster edges (Options.Localize) under its base key. A
+// dirty cluster is fingerprinted: if the key still equals its base key it
+// adopts the same way, otherwise it is fetched from Options.Cache or
+// built. A clean cluster needs a base build to adopt from, so a plan with
+// one requires Options.Localize (and a method other than ER).
 func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsify.Result, error) {
-	if plan == nil || plan.K < 1 {
-		return nil, fmt.Errorf("shard: empty plan")
+	if plan == nil || plan.K < 1 || len(plan.Dirty) != plan.K {
+		return nil, fmt.Errorf("shard: empty or malformed plan")
 	}
 	o := opts.Sparsify
 	total := o.Workers
@@ -124,13 +130,6 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 		total = runtime.GOMAXPROCS(0)
 	}
 	workers := min(total, plan.K)
-
-	buildStart := time.Now()
-	inSub := make([]bool, g.M())
-	perShard := make([]sparsify.ShardBuild, plan.K)
-	phases := make([]sparsify.Stats, plan.K)
-	errs := make([]error, plan.K)
-	keys := make([]string, plan.K)
 
 	// ER clusters return importance-reweighted edges, which the
 	// index-free endpoint-pair representation of the cluster cache
@@ -144,24 +143,25 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	if erMode {
 		reweight = make([]float64, g.M())
 	}
-	loc := opts.Localize
-	if erMode || (loc != nil && loc.BaseSub == nil) {
-		loc = nil
+	loc := opts.localize()
+	if loc != nil && loc.BaseSub.N != g.N {
+		return nil, fmt.Errorf("shard: base sparsifier has %d vertices, graph has %d", loc.BaseSub.N, g.N)
 	}
-	dirty := make([]bool, plan.K)
 	dirtyCount := 0
-	if loc != nil {
-		dirty = loc.dirtyClusters(plan)
-		for _, d := range dirty {
-			if d {
-				dirtyCount++
-			}
-		}
-	} else {
-		for ci := range dirty {
-			dirty[ci] = true
+	for ci, d := range plan.Dirty {
+		if d {
+			dirtyCount++
+		} else if loc == nil || ci >= len(loc.BaseKeys) {
+			return nil, fmt.Errorf("shard: cluster %d is clean but no base build covers it", ci)
 		}
 	}
+
+	buildStart := time.Now()
+	inSub := make([]bool, g.M())
+	perShard := make([]sparsify.ShardBuild, plan.K)
+	phases := make([]sparsify.Stats, plan.K)
+	errs := make([]error, plan.K)
+	keys := make([]string, plan.K)
 
 	// Each worker owns the clusters it pulls. The cores the pool leaves
 	// idle go to the clusters being built: each gets total/built scoring
@@ -169,11 +169,7 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	// a cold build with K ≥ cores keeps one per cluster. Scores do not
 	// depend on the worker count, so neither does the sparsifier.
 	// Non-tiny clusters go through the Dispatcher when one is configured.
-	built := dirtyCount
-	if loc == nil {
-		built = plan.K
-	}
-	perCluster := clusterWorkers(o.Method, total, built)
+	perCluster := clusterWorkers(o.Method, total, dirtyCount)
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -182,26 +178,19 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 			defer wg.Done()
 			for ci := range next {
 				cl := &plan.Clusters[ci]
-				if plan.adopt != nil && !dirty[ci] {
-					// Index-aligned adoption: the delta was reweight-only
-					// and this cluster is clean, so its local edges,
-					// seed, and fingerprint are provably unchanged — keep
-					// the base key and mark the base sparsifier edges by
-					// index, no hashing or resolution.
-					keys[ci] = plan.baseKeys[ci]
-					for _, ge := range plan.adopt[ci] {
-						inSub[ge] = true
-					}
-					perShard[ci] = sparsify.ShardBuild{
-						Vertices:        len(cl.Vertices),
-						Edges:           cl.LocalEdges(),
-						SparsifierEdges: len(plan.adopt[ci]),
-						Reused:          true,
+				if !plan.Dirty[ci] {
+					keys[ci] = loc.BaseKeys[ci]
+					if !adoptCluster(g, cl, basePairs(plan, ci, loc.BaseSub), inSub, &perShard[ci]) {
+						errs[ci] = fmt.Errorf("shard: clean cluster %d: a base sparsifier edge is not in the graph; the dirty vertices do not cover the delta", ci)
 					}
 					continue
 				}
 				seed := clusterSeed(o.Seed, ci)
 				keys[ci] = ClusterKey(cl, seed, o)
+				if loc != nil && ci < len(loc.BaseKeys) && keys[ci] == loc.BaseKeys[ci] &&
+					adoptCluster(g, cl, basePairs(plan, ci, loc.BaseSub), inSub, &perShard[ci]) {
+					continue
+				}
 				if opts.Cache != nil && !erMode {
 					if pairs, ok := opts.Cache.GetCluster(keys[ci]); ok && adoptCluster(g, cl, pairs, inSub, &perShard[ci]) {
 						continue
@@ -265,7 +254,7 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 	buildTime := time.Since(buildStart)
 
 	stitchStart := time.Now()
-	retained, recovered, adopted, repaired, err := stitch(ctx, g, plan, inSub, dirty, loc, o)
+	retained, recovered, adopted, repaired, err := stitch(ctx, g, plan, inSub, loc, o)
 	if err != nil {
 		return nil, err
 	}
@@ -280,13 +269,16 @@ func Run(ctx context.Context, g *graph.Graph, plan *Plan, opts Options) (*sparsi
 		StitchLocalized: loc != nil,
 		CutAdopted:      adopted,
 		CutRepaired:     repaired,
-		DirtyClusters:   dirtyCount,
 		PlanTime:        plan.PlanTime,
 		BuildTime:       buildTime,
 		StitchTime:      time.Since(stitchStart),
 		Assign:          plan.Assign,
 		ClusterKeys:     keys,
 		PerShard:        perShard,
+	}
+	if loc != nil {
+		st.DirtyClusters = dirtyCount
+		st.Dirty = plan.Dirty
 	}
 	for i := range perShard {
 		if perShard[i].Reused {
@@ -346,18 +338,30 @@ func cutFractionOf(g *graph.Graph, plan *Plan) float64 {
 	return float64(len(plan.CutEdges)) / float64(g.M())
 }
 
-// adoptCluster marks a cached cluster sparsifier (global endpoint pairs)
-// into the membership slice. A pair that no longer resolves to an edge
-// aborts the adoption before anything is marked (the fingerprint match
-// should make that impossible; the caller falls back to a fresh build).
+// basePairs lists the base build's sparsifier edges of cluster ci as
+// global endpoint pairs: the base sparsifier's edges with both endpoints
+// in the cluster.
+func basePairs(plan *Plan, ci int, base *graph.Graph) [][2]int {
+	var pairs [][2]int
+	for _, v := range plan.Clusters[ci].Vertices {
+		for p := base.AdjStart[v]; p < base.AdjStart[v+1]; p++ {
+			if u := base.AdjTarget[p]; u > v && plan.Assign[u] == ci {
+				pairs = append(pairs, [2]int{v, u})
+			}
+		}
+	}
+	return pairs
+}
+
+// adoptCluster marks a cluster's adopted sparsifier (global endpoint
+// pairs, from the cluster cache or the base build) into the membership
+// slice. A pair that no longer resolves to an edge aborts the adoption
+// before anything is marked.
 func adoptCluster(g *graph.Graph, cl *Cluster, pairs [][2]int, inSub []bool, sb *sparsify.ShardBuild) bool {
 	if !adoptPairs(g, pairs, inSub) {
 		return false
 	}
-	sb.Vertices = cl.Local.N
-	sb.Edges = cl.Local.M()
-	sb.SparsifierEdges = len(pairs)
-	sb.Reused = true
+	*sb = sparsify.ShardBuild{Vertices: len(cl.Vertices), Edges: cl.LocalEdges(), SparsifierEdges: len(pairs), Reused: true}
 	return true
 }
 

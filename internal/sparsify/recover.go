@@ -67,15 +67,18 @@ type ShardStats struct {
 	// cut-edge forest and recovery round were restricted to cut edges
 	// incident to dirty clusters, with the base build's stitch decisions
 	// adopted verbatim on clean-clean cut edges (CutAdopted of them).
-	// DirtyClusters is how many clusters the delta touched. CutRepaired
-	// counts clean-clean cut edges the connectivity-repair sweep admitted
-	// WITHOUT base membership — the one localized-stitch escape from the
-	// dirty region, so a non-zero value disables dirty-region pencil
-	// patching upstream.
+	// DirtyClusters is how many clusters the delta touched, and Dirty
+	// marks them by cluster id (both unset unless the stitch ran
+	// localized); a cluster a delta split off another is dirty too.
+	// CutRepaired counts clean-clean cut edges the connectivity-repair
+	// sweep admitted WITHOUT base membership — the one localized-stitch
+	// escape from the dirty region, so a non-zero value disables
+	// dirty-region pencil patching upstream.
 	StitchLocalized bool
 	CutAdopted      int
 	CutRepaired     int
 	DirtyClusters   int
+	Dirty           []bool
 
 	PerShard []ShardBuild
 }

@@ -150,15 +150,6 @@ func WithShards(k int) Option {
 	return func(c *Config) { c.Shards = k }
 }
 
-// WithRebalanceFactor tunes the incremental rebuild's balance guard: an
-// Update whose delta grew any retained cluster past factor × its fair
-// edge share (M/K) — or past factor × its own base-build size — replans
-// from scratch instead of reusing the stale plan (0 keeps the default of
-// 4; negative disables the guard). See Sparsifier.Update.
-func WithRebalanceFactor(factor float64) Option {
-	return func(c *Config) { c.Rebalance = factor }
-}
-
 // WithSparsifierGraph skips construction and adopts p as the sparsifier.
 // p must span the same vertex set as the input graph (ErrDimension
 // otherwise) and be connected (ErrDisconnected otherwise). Use it to
