@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/order"
 	"repro/internal/sparse"
@@ -29,6 +30,10 @@ type Factor struct {
 	// freshNNZ is the nnz L had when Perm was last computed; Refactor
 	// holds its fill against it.
 	freshNNZ int
+
+	// The two-core solve schedule, built on the first Split call.
+	splitOnce sync.Once
+	split     *Split
 }
 
 // EliminationTree computes the elimination tree of the symmetric matrix a

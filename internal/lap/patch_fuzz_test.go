@@ -14,7 +14,10 @@ import (
 // stored-zero slot). After every step the patched Laplacian must match
 // Laplacian of the new graph under the base shift — off-diagonals bit
 // for bit, diagonals within wantClose's ULP bound — and the stored-zero
-// bookkeeping must match an actual count.
+// bookkeeping must match an actual count. The patched Laplacian, and its
+// DropZeros compaction, must also stay symmetric bit for bit: the
+// solver's split products gather rows, which matches the sequential
+// scatter only on a bitwise symmetric matrix.
 func FuzzLapPatch(f *testing.F) {
 	f.Add(int64(1), uint8(8), []byte{0, 1, 0, 2, 2, 3})
 	f.Add(int64(2), uint8(12), []byte{1, 4, 0, 255, 1, 4, 2, 0, 5})
@@ -56,6 +59,9 @@ func FuzzLapPatch(f *testing.F) {
 			}
 			if actual != zeros {
 				t.Fatalf("step %d: %d stored zeros, bookkeeping says %d", step, actual, zeros)
+			}
+			if !patched.IsSymmetric(0) || !patched.DropZeros().IsSymmetric(0) {
+				t.Fatalf("step %d: patched Laplacian is not bitwise symmetric", step)
 			}
 			removed = append(removed, p.Removed...)
 			g, mat = p.G, patched

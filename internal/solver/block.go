@@ -38,18 +38,7 @@ func (j *Jacobi) ApplyPanel(z, r []float64, s int) {
 // L per triangular sweep shared by all s columns. The pooled scratch
 // buffer is grown to panel size on demand and kept, so steady-state panel
 // applies allocate nothing.
-func (c *CholPrecond) ApplyPanel(z, r []float64, s int) {
-	if s == 1 {
-		c.Apply(z, r)
-		return
-	}
-	y := c.scratch.Get().(*[]float64)
-	if cap(*y) < c.F.N*s {
-		*y = make([]float64, c.F.N*s)
-	}
-	c.F.SolvePanelNoAlloc(z, r, (*y)[:c.F.N*s], s)
-	c.scratch.Put(y)
-}
+func (c *CholPrecond) ApplyPanel(z, r []float64, s int) { c.apply(z, r, s) }
 
 // applyPanelOf routes a panel apply to ApplyPanel when the preconditioner
 // supports it and otherwise gathers/scatters each column through the
@@ -170,6 +159,10 @@ func PCGBlock(a *sparse.CSC, bs, xs [][]float64, m Preconditioner, opts Options)
 	rz := make([]float64, s0)
 	lane := make([]float64, s0) // per-lane dot/α/β scratch
 	done := make([]bool, s0)
+	t := startTeam(n, zp)
+	defer t.end()
+	mv := newSpmv(a)
+	up := &update{}
 
 	w := s0
 	for k := 0; k < s0; k++ {
@@ -179,7 +172,7 @@ func PCGBlock(a *sparse.CSC, bs, xs [][]float64, m Preconditioner, opts Options)
 			xp[i*s0+k] = xs[k][i]
 		}
 	}
-	a.MulPanel(xp, qp, w)
+	mv.mul(t, xp, qp, w)
 	for k := 0; k < w; k++ {
 		b := bs[k]
 		for i := 0; i < n; i++ {
@@ -221,7 +214,7 @@ func PCGBlock(a *sparse.CSC, bs, xs [][]float64, m Preconditioner, opts Options)
 				return results
 			}
 		}
-		a.MulPanel(pp, qp, w)
+		mv.mul(t, pp[:n*w], qp[:n*w], w)
 		dotLanes(pp[:n*w], qp[:n*w], w, lane)
 		finished := false
 		broke := false
@@ -254,21 +247,9 @@ func PCGBlock(a *sparse.CSC, bs, xs [][]float64, m Preconditioner, opts Options)
 		} else {
 			// Common path: no lane finished between the α loop and here
 			// (converged lanes were deflated last iteration), so the update
-			// is branch-free and the bounded row slices drop the per-lane
-			// bounds checks.
-			al := lane[:w]
-			for i := 0; i < n; i++ {
-				base := i * w
-				xpi, rpi := xp[base:base+w], rp[base:base+w]
-				ppi, qpi := pp[base:base+w], qp[base:base+w]
-				_ = ppi[len(xpi)-1]
-				_ = qpi[len(xpi)-1]
-				_ = al[len(xpi)-1]
-				for k := range xpi {
-					xpi[k] += al[k] * ppi[k]
-					rpi[k] -= al[k] * qpi[k]
-				}
-			}
+			// is branch-free.
+			*up = update{x: xp[:n*w], r: rp[:n*w], p: pp[:n*w], q: qp[:n*w], coef: lane[:w], w: w, xr: true}
+			t.fork(up)
 		}
 		dotLanes(rp[:n*w], rp[:n*w], w, lane)
 		for k := 0; k < w; k++ {
@@ -296,16 +277,8 @@ func PCGBlock(a *sparse.CSC, bs, xs [][]float64, m Preconditioner, opts Options)
 			rz[k] = lane[k]
 			lane[k] = beta
 		}
-		bl := lane[:w]
-		for i := 0; i < n; i++ {
-			base := i * w
-			ppi, zpi := pp[base:base+w], zp[base:base+w]
-			_ = zpi[len(ppi)-1]
-			_ = bl[len(ppi)-1]
-			for k := range ppi {
-				ppi[k] = zpi[k] + bl[k]*ppi[k]
-			}
-		}
+		*up = update{p: pp[:n*w], z: zp[:n*w], coef: lane[:w], w: w}
+		t.fork(up)
 	}
 	for k := 0; k < w; k++ {
 		scatterLane(xs[cols[k]], xp, k, w, n)

@@ -66,24 +66,73 @@ func (j *Jacobi) Apply(z, r []float64) {
 // so one CholPrecond may serve concurrent Apply calls.
 type CholPrecond struct {
 	F       *chol.Factor
-	scratch sync.Pool
+	scratch sync.Pool // *cholScratch
+}
+
+// cholScratch is one apply's permuted work panel and its split-solve job.
+type cholScratch struct {
+	y     []float64
+	solve splitSolve
+}
+
+// splitSolve is one half-step of a solve through the factor's two-core
+// schedule: the bins' forward sweeps, or their backward sweeps.
+type splitSolve struct {
+	sp      *chol.Split
+	x, b, y []float64
+	s       int
+	back    bool
+}
+
+func (j *splitSolve) run(part int) {
+	if j.back {
+		j.sp.Backward(part, j.x, j.y, j.s)
+	} else {
+		j.sp.Forward(part, j.b, j.y, j.s)
+	}
 }
 
 // NewCholPrecond wraps a factor.
 func NewCholPrecond(f *chol.Factor) *CholPrecond {
 	c := &CholPrecond{F: f}
-	c.scratch.New = func() any {
-		y := make([]float64, f.N)
-		return &y
-	}
+	c.scratch.New = func() any { return &cholScratch{y: make([]float64, f.N)} }
 	return c
 }
 
 // Apply solves (L Lᵀ) z = r through the factor.
-func (c *CholPrecond) Apply(z, r []float64) {
-	y := c.scratch.Get().(*[]float64)
-	c.F.SolveToNoAlloc(z, r, *y)
-	c.scratch.Put(y)
+func (c *CholPrecond) Apply(z, r []float64) { c.apply(z, r, 1) }
+
+// apply solves (L Lᵀ) Z = R for an interleaved panel of width s. Inside a
+// PCG or PCGBlock call that holds a second core (the team registered for
+// z), the solve runs on the factor's two-core schedule, built on its
+// first such apply; otherwise, and for every other caller, it runs the
+// sequential kernels. Both give the same bits.
+func (c *CholPrecond) apply(z, r []float64, s int) {
+	sc := c.scratch.Get().(*cholScratch)
+	if cap(sc.y) < c.F.N*s {
+		sc.y = make([]float64, c.F.N*s)
+	}
+	y := sc.y[:c.F.N*s]
+	t := teamOf(z)
+	var sp *chol.Split
+	if t != nil {
+		sp = c.F.Split()
+	}
+	switch {
+	case sp != nil:
+		j := &sc.solve
+		*j = splitSolve{sp: sp, x: z, b: r, y: y, s: s}
+		t.fork(j)
+		sp.Middle(y, s)
+		j.back = true
+		t.fork(j)
+		*j = splitSolve{}
+	case s == 1:
+		c.F.SolveToNoAlloc(z, r, y)
+	default:
+		c.F.SolvePanelNoAlloc(z, r, y, s)
+	}
+	c.scratch.Put(sc)
 }
 
 // Factor returns the underlying factorization (Factored).
@@ -121,6 +170,15 @@ type Options struct {
 // PCG solves A x = b for SPD A starting from the contents of x
 // (zero-initialize for a cold start). It overwrites x and returns
 // convergence information.
+//
+// From minSplitN unknowns on, while a P is free, the call takes a second
+// core for its length: the products with A, the elementwise updates and a
+// CholPrecond's triangular solves each run as two halves, one per core,
+// and dots and norms stay serial. The split products gather rows, which
+// matches the sequential scatter bit for bit only when A is symmetric
+// bit for bit, as every Laplacian this module assembles or patches is.
+// Under that condition the result does not depend on whether a second
+// core was free.
 func PCG(a *sparse.CSC, b, x []float64, m Preconditioner, opts Options) Result {
 	n := a.Cols
 	if len(b) != n || len(x) != n {
@@ -150,8 +208,14 @@ func PCG(a *sparse.CSC, b, x []float64, m Preconditioner, opts Options) Result {
 	z := make([]float64, n)
 	p := make([]float64, n)
 	q := make([]float64, n)
+	t := startTeam(n, z)
+	defer t.end()
+	mv := newSpmv(a)
+	coef := []float64{0}
+	xr := &update{x: x, r: r, p: p, q: q, coef: coef, w: 1, xr: true}
+	pz := &update{p: p, z: z, coef: coef, w: 1}
 
-	a.MulVec(x, r)
+	mv.mul(t, x, r, 0)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
@@ -175,27 +239,22 @@ func PCG(a *sparse.CSC, b, x []float64, m Preconditioner, opts Options) Result {
 				return Result{Iterations: it - 1, RelRes: rnorm / bnorm, Err: err}
 			}
 		}
-		a.MulVec(p, q)
+		mv.mul(t, p, q, 0)
 		pq := dot(p, q)
 		if pq <= 0 || math.IsNaN(pq) {
 			return Result{Iterations: it, Converged: false, RelRes: rnorm / bnorm}
 		}
-		alpha := rz / pq
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * q[i]
-		}
+		coef[0] = rz / pq // α
+		t.fork(xr)
 		rnorm = norm2(r)
 		if rnorm/bnorm <= tol {
 			return Result{Iterations: it, Converged: true, RelRes: rnorm / bnorm}
 		}
 		m.Apply(z, r)
 		rzNew := dot(r, z)
-		beta := rzNew / rz
+		coef[0] = rzNew / rz // β
 		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+		t.fork(pz)
 	}
 	return Result{Iterations: maxIter, Converged: false, RelRes: rnorm / bnorm}
 }

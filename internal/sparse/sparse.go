@@ -71,13 +71,32 @@ func (a *CSC) MulVec(x, y []float64) {
 	}
 }
 
+// MulVecRows computes rows [lo, hi) of y = A x for a square A that is
+// symmetric bit for bit, as a gather over columns lo..hi-1: y[i] sums
+// A[j,i]·x[j] over column i's entries in ascending j. That is the row
+// MulVec accumulates by scatter, term for term and in the same order.
+// MulVec skips the terms with x[j] = 0, which the gather adds; each is a
+// signed zero added to a sum that starts at +0 and never becomes −0, so
+// it changes no bit. Rows are independent: disjoint row ranges may run
+// concurrently, which is how the solver splits one product over two
+// cores.
+func (a *CSC) MulVecRows(x, y []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var s float64
+		for k := a.ColPtr[i]; k < a.ColPtr[i+1]; k++ {
+			s += a.Val[k] * x[a.RowIdx[k]]
+		}
+		y[i] = s
+	}
+}
+
 // MulPanel computes Y = A X for an interleaved Rows×s panel: entry (i, k)
 // lives at index i*s+k, so one traversal of A serves all s columns — the
 // bandwidth win behind the block-PCG solve path. x needs Cols·s entries
 // and y Rows·s; y is overwritten. Per panel column the accumulation order
 // matches MulVec exactly, except that MulVec's skip of zero x-entries is
-// not taken (those terms add an exact 0 and only matter for the sign of a
-// negative zero).
+// not taken (those terms add a signed zero, which changes no bit; see
+// MulVecRows). MulPanelRows is the same product as a row gather.
 func (a *CSC) MulPanel(x, y []float64, s int) {
 	if len(x) < a.Cols*s || len(y) < a.Rows*s {
 		panic(fmt.Sprintf("sparse: MulPanel dimension mismatch: A is %dx%d, x %d, y %d, width %d",
@@ -133,19 +152,64 @@ func (a *CSC) mulPanel8(x, y []float64) {
 	}
 }
 
+// MulPanelRows computes rows [lo, hi) of Y = A X for an interleaved
+// panel of width s and a square A that is symmetric bit for bit, as a
+// gather over columns lo..hi-1. Per panel column every row sums the same
+// terms in the same order as MulPanel's scatter, so the result is
+// bit-identical; disjoint row ranges may run concurrently.
+func (a *CSC) MulPanelRows(x, y []float64, s, lo, hi int) {
+	if s == 8 {
+		a.mulPanelRows8(x, y, lo, hi)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		row := y[i*s : i*s+s]
+		for c := range row {
+			row[c] = 0
+		}
+		for k := a.ColPtr[i]; k < a.ColPtr[i+1]; k++ {
+			v := a.Val[k]
+			rj := a.RowIdx[k] * s
+			xj := x[rj : rj+s]
+			_ = xj[len(row)-1]
+			for c := range row {
+				row[c] += v * xj[c]
+			}
+		}
+	}
+}
+
+// mulPanelRows8 is the width-8 MulPanelRows kernel: the eight lane sums
+// of a row live in locals across the row's entries.
+func (a *CSC) mulPanelRows8(x, y []float64, lo, hi int) {
+	const s = 8
+	for i := lo; i < hi; i++ {
+		var y0, y1, y2, y3, y4, y5, y6, y7 float64
+		for k := a.ColPtr[i]; k < a.ColPtr[i+1]; k++ {
+			v := a.Val[k]
+			xj := (*[s]float64)(x[a.RowIdx[k]*s:])
+			y0 += v * xj[0]
+			y1 += v * xj[1]
+			y2 += v * xj[2]
+			y3 += v * xj[3]
+			y4 += v * xj[4]
+			y5 += v * xj[5]
+			y6 += v * xj[6]
+			y7 += v * xj[7]
+		}
+		row := (*[s]float64)(y[i*s:])
+		row[0], row[1], row[2], row[3] = y0, y1, y2, y3
+		row[4], row[5], row[6], row[7] = y4, y5, y6, y7
+	}
+}
+
 // MulVecT computes y = Aᵀ x. y must have length Cols and x length Rows.
 func (a *CSC) MulVecT(x, y []float64) {
 	if len(x) != a.Rows || len(y) != a.Cols {
 		panic(fmt.Sprintf("sparse: MulVecT dimension mismatch: A is %dx%d, x %d, y %d",
 			a.Rows, a.Cols, len(x), len(y)))
 	}
-	for j := 0; j < a.Cols; j++ {
-		var s float64
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			s += a.Val[k] * x[a.RowIdx[k]]
-		}
-		y[j] = s
-	}
+	a.MulVecRows(x, y, 0, a.Cols)
 }
 
 // Transpose returns Aᵀ as a new matrix.
